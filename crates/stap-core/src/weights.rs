@@ -79,7 +79,7 @@ pub fn hard_constraint(params: &StapParams, bin: usize) -> CMat {
 
 /// Mean element magnitude of a matrix — the MATLAB reference's `average`,
 /// used to scale the constraint block commensurately with the data.
-fn mean_abs(m: &CMat) -> f64 {
+pub fn mean_abs(m: &CMat) -> f64 {
     if m.rows() == 0 || m.cols() == 0 {
         return 1.0;
     }

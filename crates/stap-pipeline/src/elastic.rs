@@ -38,7 +38,7 @@
 use crate::assignment::{NodeAssignment, TASK_NAMES};
 use crate::fault::RuntimePolicy;
 use crate::resident::{CpiDone, CpiJob, ResidentStap, ResidentState, ResidentSummary};
-use crate::runner::PipelineError;
+use crate::runner::{scenario_steering, PipelineError};
 use crate::tasks::PipelinePools;
 use stap_core::params::StapParams;
 use stap_math::CMat;
@@ -222,15 +222,7 @@ impl ElasticStap {
 
     /// Steering fans matching [`stap_core::SequentialStap::for_scenario`].
     pub fn for_scenario(params: StapParams, assign: NodeAssignment, scenario: &Scenario) -> Self {
-        let steering = scenario
-            .transmit_beams
-            .iter()
-            .map(|&c| {
-                scenario
-                    .geom
-                    .beam_fan(c, scenario.beam_half_width_deg / 2.0, params.m_beams)
-            })
-            .collect();
+        let steering = scenario_steering(&params, scenario);
         ElasticStap::new(params, assign, steering)
     }
 

@@ -10,9 +10,13 @@
 //! * [`assignment`] — node counts per task (the paper's case 1/2/3) and
 //!   the partitioning of each task's data dimension,
 //! * [`msg`] — the wire messages and tag scheme,
-//! * [`tasks`] — the per-node SPMD loops for all seven tasks,
-//! * [`runner`] — world construction, CPI injection, detection
-//!   collection, timing aggregation,
+//! * `stages` — the seven tasks, each written once in grouped form,
+//! * [`tasks`] — the one per-rank loop (receive, deadline, drop
+//!   propagation, purge, timing, span) and the one driver loop that
+//!   batch runs and resident sessions share,
+//! * [`runner`] — batch runs: world construction over a fixed CPI
+//!   list, timing aggregation,
+//! * [`resident`] — resident serving sessions over a jobs channel,
 //! * [`metrics`] — per-task recv/comp/send timing and the paper's
 //!   throughput/latency equations (1)-(3).
 //!
@@ -56,6 +60,7 @@ pub mod msg;
 pub mod report;
 pub mod resident;
 pub mod runner;
+mod stages;
 pub mod tasks;
 pub mod trace;
 pub mod wire;

@@ -57,8 +57,9 @@ pub enum Payload {
 /// Everything that travels between pipeline ranks.
 #[derive(Debug, Clone)]
 pub struct Msg {
-    /// CPI index this message belongs to (echoes the tag's low bits).
-    /// In resident mode this is the *slot* index.
+    /// Slot index this message belongs to (echoes the tag's low bits):
+    /// the CPI index in a batch run, the slot group's index in a
+    /// resident session.
     pub seq: u32,
     /// True when the sender computed this data in a degraded mode
     /// (e.g. beamformed with stale weights). ORed along the data path

@@ -8,60 +8,40 @@
 //! task nodes resident and drives them with **slot groups**: the driver
 //! coalesces up to `max_group` CPIs — from *different* streams — into
 //! one slot, every cube on every edge carries the group concatenated
-//! along axis 0, and the kernels run once per slot over all member
-//! CPIs (`DopplerProcessor::process_groups_with` batches the FFT lanes
-//! of the whole group through a single `forward_lanes` call).
+//! along axis 0, and the kernels run once per slot over all member CPIs.
 //!
-//! Cross-stream batching is bit-exact with per-stream serial runs
-//! because all per-CPI state is keyed by *stream*:
-//!
-//! * azimuth revisit: `beam = scpi % steering.len()` uses the
-//!   per-stream CPI index, not the slot index;
-//! * easy-weight history rings are keyed `(stream, beam)`;
-//! * hard-weight QR recursion state is keyed `(stream, beam, bin, seg)`;
-//! * the beamform tasks keep per-`(stream, beam)` weight FIFOs: every
-//!   slot first *pushes* the weight sets computed from its member CPIs,
-//!   then *consumes* for each member — popping the front of
-//!   `fifo[(stream, scpi % beams)]` yields exactly the weights computed
-//!   from `(stream, scpi - beams)`, the paper's TD(1,3)/TD(2,4)
-//!   temporal dependency, even when one slot carries several CPIs of
-//!   the same stream.
+//! The task nodes run the same stage loops as a batch run
+//! ([`crate::tasks`]). A session differs only in its slot source (the
+//! jobs channel), its completion sink (`CpiDone`s) and its end: when the
+//! jobs channel disconnects, the driver drains every in-flight slot and
+//! cascades a `Shutdown` down the data edges, and each stateful stage
+//! exports its cross-slot state. Weights stay off the latency path as in
+//! batch: a served CPI waits only for the weights computed `beams` CPIs
+//! earlier in its stream, never for its own.
 //!
 //! The contract the admission layer (`stap-serve`) upholds: each
 //! stream's CPIs are submitted in `scpi` order starting at 0, with no
-//! gaps. Resident mode is the production fast path — non-fault-tolerant
-//! (plain blocking receives), untraced, and steady-state
-//! allocation-free for every cube that travels an edge (all drawn from
-//! the shared [`PipelinePools`], pre-warmed by [`ResidentStap::reserve`]).
+//! gaps. Sessions use blocking receives (a dead rank poisons the world
+//! and the supervisor restarts it) and are steady-state allocation-free
+//! for every cube that travels an edge (all drawn from the shared
+//! [`PipelinePools`], pre-warmed by [`ResidentStap::reserve`]).
 
-use crate::assignment::{overlap, NodeAssignment, Partitions, *};
+use crate::assignment::{NodeAssignment, Partitions};
+use crate::fault::RuntimePolicy;
 use crate::metrics::PipelineHealth;
-use crate::msg::{tag, Edge, Msg, Payload, SubCpi};
-use crate::runner::PipelineError;
-use crate::tasks::{
-    easy_cells_in, expect_weights, hard_cells_in, mean_abs, sample_mailbox, weight_sources,
-    PipelinePools,
-};
+use crate::msg::Msg;
+use crate::runner::{scenario_steering, PipelineError};
+use crate::stages::{block_lens, run_task, TaskState};
+use crate::tasks::{drive, Feed, PipelinePools, Sink, TaskCtx, TaskExit};
 use stap_core::params::StapParams;
-use stap_core::training::easy_training_cells;
-use stap_core::weights::hard_constraint;
-use stap_core::{
-    cfar,
-    doppler::DopplerProcessor,
-    pulse::{PulseCompressor, PulseScratch},
-    Detection,
-};
-use stap_cube::{CCube, Cube, PoolStats, RCube, SharedBufferPool};
-use stap_math::fft::FftScratch;
-use stap_math::qr::qr_update;
-use stap_math::solve::{constrained_lstsq, constrained_lstsq_from_r, normalize_columns};
-use stap_math::{CMat, Cx};
-use stap_mp::{Comm, World};
+use stap_core::Detection;
+use stap_cube::{CCube, PoolStats};
+use stap_math::CMat;
+use stap_mp::World;
 use stap_radar::Scenario;
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{Receiver, Sender};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One CPI submitted to the resident pipeline.
@@ -103,7 +83,7 @@ pub struct ResidentSummary {
     /// Slots (coalesced groups) processed.
     pub slots: u64,
     /// Merged health counters (mailbox depth telemetry; the fault
-    /// counters stay zero — resident mode is non-fault-tolerant).
+    /// counters stay zero — sessions use blocking receives).
     pub health: PipelineHealth,
     /// Complex pool traffic. `misses` beyond warmup means
     /// [`ResidentStap::reserve`] under-provisioned.
@@ -120,15 +100,15 @@ pub struct ResidentSummary {
 }
 
 /// Cross-slot task state exported when a resident session drains, keyed
-/// by **global** bin indices (the task-local partition offsets are
-/// rebased out), so a follow-on session may re-partition the same state
-/// under a *different* node assignment and continue bit-identically.
+/// by **global** bin indices (as the stages hold it), so a follow-on
+/// session may re-partition the same state under a *different* node
+/// assignment and continue bit-identically.
 ///
 /// * easy keys are `(stream, beam, easy-bin index in 0..n_easy)`;
 /// * hard keys carry the hard-bin index in `0..n_hard` (and the range
 ///   segment for the QR recursion);
-/// * FIFO/history order is preserved front-to-back exactly as the
-///   per-node queues held it.
+/// * FIFO/history order is preserved front-to-back; the beamform FIFOs
+///   include every weight set still in flight when the session drained.
 #[derive(Clone, Debug, Default)]
 pub struct ResidentState {
     /// Easy-weight training history rings (task 1), front = oldest.
@@ -149,33 +129,6 @@ impl ResidentState {
             && self.easy_fifo.is_empty()
             && self.hard_fifo.is_empty()
     }
-}
-
-/// What one resident task node hands back when its loop exits.
-struct TaskExit {
-    health: PipelineHealth,
-    busy: f64,
-    state: TaskState,
-}
-
-impl TaskExit {
-    fn stateless(health: PipelineHealth, busy: f64) -> Self {
-        TaskExit {
-            health,
-            busy,
-            state: TaskState::Stateless,
-        }
-    }
-}
-
-/// The node-local slice of [`ResidentState`], already rebased to global
-/// bin keys by the exporting task.
-enum TaskState {
-    Stateless,
-    EasyWt(HashMap<(u16, usize, usize), VecDeque<CMat>>),
-    HardWt(HashMap<(u16, usize, usize, usize), CMat>),
-    EasyBf(HashMap<(u16, usize, usize), VecDeque<CMat>>),
-    HardBf(HashMap<(u16, usize, usize), VecDeque<Vec<CMat>>>),
 }
 
 /// The resident multi-stream STAP pipeline.
@@ -225,15 +178,7 @@ impl ResidentStap {
 
     /// Steering fans matching [`stap_core::SequentialStap::for_scenario`].
     pub fn for_scenario(params: StapParams, assign: NodeAssignment, scenario: &Scenario) -> Self {
-        let steering = scenario
-            .transmit_beams
-            .iter()
-            .map(|&c| {
-                scenario
-                    .geom
-                    .beam_fan(c, scenario.beam_half_width_deg / 2.0, params.m_beams)
-            })
-            .collect();
+        let steering = scenario_steering(&params, scenario);
         ResidentStap::new(params, assign, steering)
     }
 
@@ -287,9 +232,9 @@ impl ResidentStap {
     /// Demand-driven pool sizing: pre-warms every size class the
     /// resident hot path will draw from, for `streams` concurrent
     /// streams with `queue_depth` admitted-and-waiting CPIs each, so
-    /// even the first slot is miss-free. Derives the exact block sizes
-    /// from the partitions (the same index arithmetic the task loops
-    /// use) and multiplies by the in-flight slot count. The batcher
+    /// even the first slot is miss-free. Takes the exact block sizes
+    /// from the lists the stages send and multiplies by the in-flight
+    /// slot count. The batcher
     /// coalesces *partial* groups while streams ramp up or drain, and a
     /// `g < max_group` slot draws from smaller size classes than the
     /// steady-state full group — every group size up to the bound gets
@@ -310,56 +255,18 @@ impl ResidentStap {
         // admitted per stream, plus in-flight groups.
         let raw = p.k_range * p.j_channels * p.n_pulses;
         add(&mut cx, raw, streams * (queue_depth + 1) + b * w);
-        let easy_bins = p.easy_bins();
-        let hard_bins = p.hard_bins();
+        let (cx_blocks, real_blocks) = block_lens(p, &parts, &self.assign);
         for g in 1..=b {
             // Full groups are the steady state and need the whole
             // in-flight window; partial sizes are transient and only
             // need an assembly allowance (power-of-two classes merge
             // many of them with the full-group classes anyway).
             let n = if g == b { w } else { 2 };
-            for kr in &parts.doppler_k {
-                // Driver input slabs.
-                add(&mut cx, g * kr.len() * p.j_channels * p.n_pulses, n);
-                let ec = easy_cells_in(p, kr).len();
-                let fc: usize = (0..p.num_segments())
-                    .map(|s| hard_cells_in(p, s, kr).len())
-                    .sum();
-                for bins in &parts.easy_wt_bins {
-                    add(&mut cx, g * bins.len() * ec * p.j_channels, n);
-                }
-                for bins in &parts.hard_wt_bins {
-                    add(&mut cx, g * bins.len() * fc * 2 * p.j_channels, n);
-                }
-                for bins in &parts.easy_bf_bins {
-                    add(&mut cx, g * bins.len() * kr.len() * p.j_channels, n);
-                }
-                for bins in &parts.hard_bf_bins {
-                    add(&mut cx, g * bins.len() * kr.len() * 2 * p.j_channels, n);
-                }
+            for len in &cx_blocks {
+                add(&mut cx, g * len, n);
             }
-            // Beamform -> PC blocks: per (BF node, PC node) natural-bin
-            // overlap, exactly as the task loops compute `pc_mine`.
-            for pc_bins in &parts.pc_bins {
-                for idx in &parts.easy_bf_bins {
-                    let mine = idx
-                        .clone()
-                        .filter(|&bn| pc_bins.contains(&easy_bins[bn]))
-                        .count();
-                    add(&mut cx, g * mine * p.m_beams * p.k_range, n);
-                }
-                for idx in &parts.hard_bf_bins {
-                    let mine = idx
-                        .clone()
-                        .filter(|&bn| pc_bins.contains(&hard_bins[bn]))
-                        .count();
-                    add(&mut cx, g * mine * p.m_beams * p.k_range, n);
-                }
-                // PC -> CFAR real blocks.
-                for cf in &parts.cfar_bins {
-                    let ov = overlap(pc_bins, cf);
-                    add(&mut real, g * ov.len() * p.m_beams * p.k_range, n);
-                }
+            for len in &real_blocks {
+                add(&mut real, g * len, n);
             }
         }
         for (cap, count) in cx {
@@ -409,78 +316,52 @@ impl ResidentStap {
                     .with_corruptor(crate::fault::nan_corruptor());
             }
         }
-        let ctx = ResCtx {
+        let policy = RuntimePolicy::default();
+        let ctx = TaskCtx {
             params: &self.params,
             assign: &self.assign,
             parts: &parts,
             steering: &self.steering,
             pools: &self.pools,
+            policy: &policy,
+            limit: None,
             max_group: self.max_group,
             screen: self.screen,
             carry: &carry,
+            epoch: None,
         };
-        let ctx_ref = &ctx;
         let window = self.window.max(1);
         // mpsc endpoints are Send but not Sync; the SPMD closure is
         // shared by reference across ranks, so the driver arm takes
         // them out of a mutex (it runs exactly once).
         let jobs_cell = Mutex::new(Some(jobs));
         let done_cell = Mutex::new(Some(done));
+        fn take<T>(cell: &Mutex<Option<T>>) -> T {
+            let mut cell = cell.lock().expect("no rank panics holding the driver cell");
+            cell.take().expect("driver rank runs once")
+        }
 
         enum Res {
             Task(usize, TaskExit),
-            Driver {
-                health: PipelineHealth,
-                cpis: u64,
-                slots: u64,
-            },
+            Driver(PipelineHealth, u64, u64),
         }
 
-        let results = world.try_run_collect(|mut comm| {
-            let rank = comm.rank();
-            match ctx_ref.assign.task_of_rank(rank) {
-                Some((t @ DOPPLER, local)) => {
-                    Res::Task(t, resident_doppler(ctx_ref, &mut comm, local))
-                }
-                Some((t @ EASY_WT, local)) => {
-                    Res::Task(t, resident_easy_weight(ctx_ref, &mut comm, local))
-                }
-                Some((t @ HARD_WT, local)) => {
-                    Res::Task(t, resident_hard_weight(ctx_ref, &mut comm, local))
-                }
-                Some((t @ EASY_BF, local)) => {
-                    Res::Task(t, resident_easy_bf(ctx_ref, &mut comm, local))
-                }
-                Some((t @ HARD_BF, local)) => {
-                    Res::Task(t, resident_hard_bf(ctx_ref, &mut comm, local))
-                }
-                Some((t @ PC, local)) => Res::Task(t, resident_pc(ctx_ref, &mut comm, local)),
-                Some((t @ CFAR, local)) => Res::Task(t, resident_cfar(ctx_ref, &mut comm, local)),
-                Some(_) => unreachable!("unknown task"),
+        let results =
+            world.try_run_collect(|mut comm| match self.assign.task_of_rank(comm.rank()) {
+                Some((t, local)) => Res::Task(t, run_task(&ctx, &mut comm, t, local)),
                 None => {
-                    let jobs = jobs_cell
-                        .lock()
-                        .unwrap()
-                        .take()
-                        .expect("driver rank runs once");
-                    let done = done_cell.lock().unwrap().take().expect("driver rank once");
-                    let (health, cpis, slots) =
-                        resident_driver(ctx_ref, &mut comm, window, jobs, done);
-                    Res::Driver {
-                        health,
-                        cpis,
-                        slots,
-                    }
+                    let (feed, sink) = (Feed::Jobs(take(&jobs_cell)), Sink::Done(take(&done_cell)));
+                    let (health, cpis, slots) = drive(&ctx, &mut comm, window, feed, sink);
+                    Res::Driver(health, cpis, slots)
                 }
-            }
-        })?;
+            })?;
 
         let mut summary = ResidentSummary::default();
         let mut state = ResidentState::default();
         for r in results {
             match r {
                 Res::Task(t, exit) => {
-                    summary.health.merge(&exit.health);
+                    summary.health.merge(&exit.report.health);
                     summary.busy[t] += exit.busy;
                     match exit.state {
                         TaskState::Stateless => {}
@@ -490,11 +371,7 @@ impl ResidentStap {
                         TaskState::HardBf(m) => state.hard_fifo.extend(m),
                     }
                 }
-                Res::Driver {
-                    health,
-                    cpis,
-                    slots,
-                } => {
+                Res::Driver(health, cpis, slots) => {
                     summary.health.merge(&health);
                     summary.cpis = cpis;
                     summary.slots = slots;
@@ -506,1290 +383,6 @@ impl ResidentStap {
         summary.elapsed = t0.elapsed().as_secs_f64();
         Ok((summary, state))
     }
-}
-
-/// Shared read-only context for the resident task loops.
-struct ResCtx<'a> {
-    params: &'a StapParams,
-    assign: &'a NodeAssignment,
-    parts: &'a Partitions,
-    steering: &'a [CMat],
-    pools: &'a PipelinePools,
-    max_group: usize,
-    screen: bool,
-    carry: &'a ResidentState,
-}
-
-/// Lazily-built per-group-size workspaces: slot groups are usually at
-/// the `max_group` steady-state size, but ramp-up and the final tail
-/// slot can be smaller; each distinct size allocates its workspace once
-/// and reuses it for the rest of the session.
-struct ByGroup<T> {
-    slots: Vec<Option<T>>,
-}
-
-impl<T> ByGroup<T> {
-    fn new(max: usize) -> Self {
-        ByGroup {
-            slots: (0..=max).map(|_| None).collect(),
-        }
-    }
-
-    fn get(&mut self, b: usize, mk: impl FnOnce(usize) -> T) -> &mut T {
-        self.slots[b].get_or_insert_with(|| mk(b))
-    }
-}
-
-fn expect_grouped_cube(m: Msg) -> Option<(Arc<[SubCpi]>, CCube)> {
-    match m.payload {
-        Payload::Shutdown => None,
-        Payload::Cube(c) => Some((m.group.expect("resident messages carry a group"), c)),
-        other => panic!("resident: expected grouped Cube or Shutdown, got {other:?}"),
-    }
-}
-
-fn expect_grouped_real(m: Msg) -> Option<(Arc<[SubCpi]>, RCube)> {
-    match m.payload {
-        Payload::Shutdown => None,
-        Payload::Real(c) => Some((m.group.expect("resident messages carry a group"), c)),
-        other => panic!("resident: expected grouped Real or Shutdown, got {other:?}"),
-    }
-}
-
-/// Gathers one grouped Doppler fan-out block without per-element
-/// div/mod index math: the loops run in output row-major order
-/// `(sub, bin, row, channel)`, so the bytes match the closure-built
-/// cube exactly while the hot path is pure pointer stepping.
-fn gather_bins_block(
-    pool: &SharedBufferPool<Cx>,
-    stag: &CCube,
-    b: usize,
-    klen: usize,
-    bins: &[usize],
-    rows: &[usize],
-    channels: usize,
-) -> CCube {
-    let nb = bins.len();
-    let s = stag.as_slice();
-    let [_, cdim, n] = stag.shape();
-    let row_stride = cdim * n;
-    let mut buf = pool.get(b * nb * rows.len() * channels);
-    for u in 0..b {
-        let sub0 = u * klen;
-        for &bin in bins {
-            for &row in rows {
-                let base = (sub0 + row) * row_stride + bin;
-                for ch in 0..channels {
-                    buf.push(s[base + ch * n]);
-                }
-            }
-        }
-    }
-    CCube::from_vec([b * nb, rows.len(), channels], buf)
-}
-
-/// Gathers whole `[d1, d2]` planes of `src` (the BF→PC and PC→CFAR
-/// blocks keep their two inner axes intact): each output row is one
-/// contiguous slice copy. `src_row(sub, o)` names the source plane for
-/// output row `sub * out_rows + o`.
-fn gather_plane_rows<T: Copy + Default>(
-    pool: &SharedBufferPool<T>,
-    src: &Cube<T>,
-    b: usize,
-    out_rows: usize,
-    mut src_row: impl FnMut(usize, usize) -> usize,
-) -> Cube<T> {
-    let [_, d1, d2] = src.shape();
-    let plane = d1 * d2;
-    let s = src.as_slice();
-    let mut buf = pool.get(b * out_rows * plane);
-    for u in 0..b {
-        for o in 0..out_rows {
-            let r = src_row(u, o);
-            buf.extend_from_slice(&s[r * plane..(r + 1) * plane]);
-        }
-    }
-    Cube::from_vec([b * out_rows, d1, d2], buf)
-}
-
-/// Resident Doppler (task 0): one grouped slab in, one batched FFT pass
-/// over the whole group, four grouped redistribution blocks out.
-fn resident_doppler(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
-    let p = ctx.params;
-    let my_k = ctx.parts.doppler_k[local].clone();
-    let (k0, klen) = (my_k.start, my_k.len());
-    let proc = DopplerProcessor::new(p);
-    let driver = ctx.assign.driver_rank();
-    let easy_bins = p.easy_bins();
-    let hard_bins = p.hard_bins();
-    let pool = &ctx.pools.cx;
-    let easy_cells = easy_cells_in(p, &my_k);
-    let flat_cells: Vec<usize> = (0..p.num_segments())
-        .flat_map(|s| hard_cells_in(p, s, &my_k))
-        .collect();
-    // Row offsets (within one sub-CPI's stagger slab) for the gather
-    // helpers, precomputed so the slot loop does no index arithmetic
-    // beyond pointer stepping.
-    let easy_rows: Vec<usize> = easy_cells.iter().map(|&c| c - k0).collect();
-    let flat_rows: Vec<usize> = flat_cells.iter().map(|&c| c - k0).collect();
-    let all_rows: Vec<usize> = (0..klen).collect();
-    let mut stag_by = ByGroup::<CCube>::new(ctx.max_group);
-    let mut fft_ws = FftScratch::new();
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let m = comm.recv(driver, tag(Edge::Input, slot)).unwrap();
-        let t_busy = Instant::now();
-        let Some((group, slab)) = expect_grouped_cube(m) else {
-            // Cascade the shutdown on all four out-edges.
-            for (q, _) in ctx.parts.easy_wt_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(EASY_WT).start + q;
-                comm.send(
-                    dst,
-                    tag(Edge::DopplerToEasyWt, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
-            for (q, _) in ctx.parts.hard_wt_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(HARD_WT).start + q;
-                comm.send(
-                    dst,
-                    tag(Edge::DopplerToHardWt, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
-            for (r, _) in ctx.parts.easy_bf_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(EASY_BF).start + r;
-                comm.send(
-                    dst,
-                    tag(Edge::DopplerToEasyBf, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
-            for (r, _) in ctx.parts.hard_bf_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(HARD_BF).start + r;
-                comm.send(
-                    dst,
-                    tag(Edge::DopplerToHardBf, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
-            break;
-        };
-        let b = group.len();
-        let stag = stag_by.get(b, |b| {
-            CCube::zeros([b * klen, 2 * p.j_channels, p.n_pulses])
-        });
-        // The perf core: ALL group members' FFT lanes through one
-        // batched forward pass.
-        proc.process_groups_with(&slab, k0, b, stag, &mut fft_ws);
-        pool.recycle(slab);
-
-        for (q, bins_idx) in ctx.parts.easy_wt_bins.iter().enumerate() {
-            let block = gather_bins_block(
-                pool,
-                stag,
-                b,
-                klen,
-                &easy_bins[bins_idx.clone()],
-                &easy_rows,
-                p.j_channels,
-            );
-            let dst = ctx.assign.rank_range(EASY_WT).start + q;
-            comm.send(
-                dst,
-                tag(Edge::DopplerToEasyWt, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
-        for (q, bins_idx) in ctx.parts.hard_wt_bins.iter().enumerate() {
-            let block = gather_bins_block(
-                pool,
-                stag,
-                b,
-                klen,
-                &hard_bins[bins_idx.clone()],
-                &flat_rows,
-                2 * p.j_channels,
-            );
-            let dst = ctx.assign.rank_range(HARD_WT).start + q;
-            comm.send(
-                dst,
-                tag(Edge::DopplerToHardWt, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
-        for (r, bins_idx) in ctx.parts.easy_bf_bins.iter().enumerate() {
-            let block = gather_bins_block(
-                pool,
-                stag,
-                b,
-                klen,
-                &easy_bins[bins_idx.clone()],
-                &all_rows,
-                p.j_channels,
-            );
-            let dst = ctx.assign.rank_range(EASY_BF).start + r;
-            comm.send(
-                dst,
-                tag(Edge::DopplerToEasyBf, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
-        for (r, bins_idx) in ctx.parts.hard_bf_bins.iter().enumerate() {
-            let block = gather_bins_block(
-                pool,
-                stag,
-                b,
-                klen,
-                &hard_bins[bins_idx.clone()],
-                &all_rows,
-                2 * p.j_channels,
-            );
-            let dst = ctx.assign.rank_range(HARD_BF).start + r;
-            comm.send(
-                dst,
-                tag(Edge::DopplerToHardBf, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit::stateless(health, busy)
-}
-
-/// Receives one grouped block per Doppler node; `None` means shutdown
-/// (remaining Doppler shutdowns drained).
-fn recv_doppler_blocks(
-    comm: &mut Comm<Msg>,
-    dop0: usize,
-    p0: usize,
-    edge: Edge,
-    slot: usize,
-    blocks: &mut Vec<CCube>,
-) -> Option<Arc<[SubCpi]>> {
-    let mut group: Option<Arc<[SubCpi]>> = None;
-    for dp in 0..p0 {
-        let m = comm.recv(dop0 + dp, tag(edge, slot)).unwrap();
-        match expect_grouped_cube(m) {
-            Some((g, c)) => {
-                group.get_or_insert(g);
-                blocks.push(c);
-            }
-            None => {
-                for dp2 in dp + 1..p0 {
-                    let m2 = comm.recv(dop0 + dp2, tag(edge, slot)).unwrap();
-                    assert!(
-                        matches!(m2.payload, Payload::Shutdown),
-                        "mixed shutdown/data within a slot"
-                    );
-                }
-                return None;
-            }
-        }
-    }
-    Some(group.expect("at least one Doppler node"))
-}
-
-/// Rebuilds a node-local `(stream, beam) -> queue of per-bin entries`
-/// map from globally-keyed carried state: picks this node's `bins_idx`
-/// slice and re-zips the per-bin queues back into per-slot-entry rows
-/// (inner `Vec` indexed by local bin), preserving queue order exactly.
-fn import_ring<T: Clone>(
-    carried: &HashMap<(u16, usize, usize), VecDeque<T>>,
-    bins_idx: &Range<usize>,
-) -> HashMap<(u16, usize), VecDeque<Vec<T>>> {
-    let nbins = bins_idx.len();
-    let mut out: HashMap<(u16, usize), VecDeque<Vec<T>>> = HashMap::new();
-    let keys: std::collections::HashSet<(u16, usize)> = carried
-        .keys()
-        .filter(|(_, _, g)| bins_idx.contains(g))
-        .map(|&(s, b, _)| (s, b))
-        .collect();
-    for (stream, beam) in keys {
-        let len = carried
-            .get(&(stream, beam, bins_idx.start))
-            .map_or(0, VecDeque::len);
-        let mut q: VecDeque<Vec<T>> = (0..len).map(|_| Vec::with_capacity(nbins)).collect();
-        for bin in bins_idx.clone() {
-            let d = carried
-                .get(&(stream, beam, bin))
-                .expect("carried state covers every bin of a (stream, beam)");
-            assert_eq!(d.len(), len, "ragged carried queue");
-            for (qi, item) in d.iter().enumerate() {
-                q[qi].push(item.clone());
-            }
-        }
-        out.insert((stream, beam), q);
-    }
-    out
-}
-
-/// Inverse of [`import_ring`]: unzips each `(stream, beam)` queue into
-/// per-bin queues rebased to global bin keys (`bin0` = this node's
-/// partition start).
-fn export_ring<T>(
-    rings: HashMap<(u16, usize), VecDeque<Vec<T>>>,
-    bin0: usize,
-) -> HashMap<(u16, usize, usize), VecDeque<T>> {
-    let mut out = HashMap::new();
-    for ((stream, beam), q) in rings {
-        let len = q.len();
-        let mut per_bin: Vec<VecDeque<T>> = Vec::new();
-        for entry in q {
-            if per_bin.is_empty() {
-                per_bin = entry.iter().map(|_| VecDeque::with_capacity(len)).collect();
-            }
-            for (bi, item) in entry.into_iter().enumerate() {
-                per_bin[bi].push_back(item);
-            }
-        }
-        for (bi, d) in per_bin.into_iter().enumerate() {
-            out.insert((stream, beam, bin0 + bi), d);
-        }
-    }
-    out
-}
-
-/// Resident easy weight (task 1): per-(stream, beam) history rings,
-/// weights for every member CPI of every slot, one grouped weight
-/// message per overlapping BF node per slot.
-fn resident_easy_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
-    let p = ctx.params;
-    let bins_idx = ctx.parts.easy_wt_bins[local].clone();
-    let nbins = bins_idx.len();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let beams = ctx.steering.len();
-    let constraint = CMat::identity(p.j_channels);
-    let total_cells = easy_training_cells(p).len();
-    // Destination BF nodes with their bin overlaps (slot-invariant).
-    let bf0 = ctx.assign.rank_range(EASY_BF).start;
-    let targets: Vec<(usize, Range<usize>)> = ctx
-        .parts
-        .easy_bf_bins
-        .iter()
-        .enumerate()
-        .filter_map(|(r, bf_bins)| {
-            let ov = overlap(&bins_idx, bf_bins);
-            (!ov.is_empty()).then_some((bf0 + r, ov))
-        })
-        .collect();
-    let mut history: HashMap<(u16, usize), VecDeque<Vec<CMat>>> =
-        import_ring(&ctx.carry.easy_history, &bins_idx);
-    let mut spares: Vec<Vec<CMat>> = Vec::new();
-    let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        blocks.clear();
-        let Some(group) =
-            recv_doppler_blocks(comm, dop0, p0, Edge::DopplerToEasyWt, slot, &mut blocks)
-        else {
-            for (dst, _) in &targets {
-                comm.send(
-                    *dst,
-                    tag(Edge::EasyWtToEasyBf, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
-            break;
-        };
-        let t_busy = Instant::now();
-        let b = group.len();
-        let mut per_node: Vec<Vec<CMat>> = targets
-            .iter()
-            .map(|(_, ov)| Vec::with_capacity(b * ov.len()))
-            .collect();
-        for (u, sub) in group.iter().enumerate() {
-            let mut snaps = spares.pop().unwrap_or_else(|| {
-                (0..nbins)
-                    .map(|_| CMat::zeros(total_cells, p.j_channels))
-                    .collect()
-            });
-            let mut row = 0usize;
-            for block in &blocks {
-                let cells = block.shape()[1];
-                for (bi, snap) in snaps.iter_mut().enumerate() {
-                    for ci in 0..cells {
-                        for ch in 0..p.j_channels {
-                            snap[(row + ci, ch)] = block[(u * nbins + bi, ci, ch)].conj();
-                        }
-                    }
-                }
-                row += cells;
-            }
-            debug_assert_eq!(row, total_cells);
-            let beam = sub.scpi as usize % beams;
-            let q = history.entry((sub.stream, beam)).or_default();
-            q.push_back(snaps);
-            while q.len() > p.easy_history {
-                if let Some(s) = q.pop_front() {
-                    spares.push(s);
-                }
-            }
-            let steering = &ctx.steering[beam];
-            let weights: Vec<CMat> = (0..nbins)
-                .map(|bi| {
-                    let mut stacked = q[0][bi].clone();
-                    for older in q.iter().skip(1) {
-                        stacked = stacked.vstack(&older[bi]);
-                    }
-                    let k = mean_abs(&stacked) * p.beam_constraint_wt;
-                    constrained_lstsq(&stacked, &constraint, k, steering)
-                })
-                .collect();
-            for (i, (_, ov)) in targets.iter().enumerate() {
-                per_node[i].extend(ov.clone().map(|bn| weights[bn - bins_idx.start].clone()));
-            }
-        }
-        for block in blocks.drain(..) {
-            ctx.pools.cx.recycle(block);
-        }
-        for ((dst, _), w) in targets.iter().zip(per_node) {
-            comm.send(
-                *dst,
-                tag(Edge::EasyWtToEasyBf, slot),
-                Msg::grouped(slot, group.clone(), Payload::Weights(w)),
-            );
-        }
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit {
-        health,
-        busy,
-        state: TaskState::EasyWt(export_ring(history, bins_idx.start)),
-    }
-}
-
-/// Resident hard weight (task 2): QR recursion state keyed
-/// (stream, beam, bin, segment).
-fn resident_hard_weight(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
-    let p = ctx.params;
-    let bins_idx = ctx.parts.hard_wt_bins[local].clone();
-    let nbins = bins_idx.len();
-    let hard_bins = p.hard_bins();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let beams = ctx.steering.len();
-    let jj = 2 * p.j_channels;
-    let segs = p.num_segments();
-    let bf0 = ctx.assign.rank_range(HARD_BF).start;
-    let targets: Vec<(usize, Range<usize>)> = ctx
-        .parts
-        .hard_bf_bins
-        .iter()
-        .enumerate()
-        .filter_map(|(r, bf_bins)| {
-            let ov = overlap(&bins_idx, bf_bins);
-            (!ov.is_empty()).then_some((bf0 + r, ov))
-        })
-        .collect();
-    // Node-local QR state, keyed by LOCAL bin index; imported from the
-    // carried global-keyed state and rebased back on export.
-    let mut r_state: HashMap<(u16, usize, usize, usize), CMat> = ctx
-        .carry
-        .hard_r
-        .iter()
-        .filter(|((_, _, bin, _), _)| bins_idx.contains(bin))
-        .map(|(&(s, bm, bin, seg), m)| ((s, bm, bin - bins_idx.start, seg), m.clone()))
-        .collect();
-    let seg_cells: Vec<usize> = (0..segs)
-        .map(|s| stap_core::training::hard_training_cells(p, s).len())
-        .collect();
-    let dp_counts: Vec<Vec<usize>> = (0..p0)
-        .map(|dp| {
-            let kr = ctx.parts.doppler_k[dp].clone();
-            (0..segs).map(|s| hard_cells_in(p, s, &kr).len()).collect()
-        })
-        .collect();
-    // Per-sub snapshot scratch, fully overwritten for each member CPI.
-    let mut snapshots: Vec<Vec<CMat>> = (0..nbins)
-        .map(|_| (0..segs).map(|s| CMat::zeros(seg_cells[s], jj)).collect())
-        .collect();
-    let mut seg_rows = vec![0usize; segs];
-    let mut blocks: Vec<CCube> = Vec::with_capacity(p0);
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        blocks.clear();
-        let Some(group) =
-            recv_doppler_blocks(comm, dop0, p0, Edge::DopplerToHardWt, slot, &mut blocks)
-        else {
-            for (dst, _) in &targets {
-                comm.send(
-                    *dst,
-                    tag(Edge::HardWtToHardBf, slot),
-                    Msg::new(slot, Payload::Shutdown),
-                );
-            }
-            break;
-        };
-        let t_busy = Instant::now();
-        let b = group.len();
-        let mut per_node: Vec<Vec<CMat>> = targets
-            .iter()
-            .map(|(_, ov)| Vec::with_capacity(b * ov.len() * segs))
-            .collect();
-        for (u, sub) in group.iter().enumerate() {
-            seg_rows.iter_mut().for_each(|r| *r = 0);
-            for (block, counts) in blocks.iter().zip(&dp_counts) {
-                let mut ci = 0usize;
-                for (s, &cnt) in counts.iter().enumerate() {
-                    for c in 0..cnt {
-                        for (bi, snap) in snapshots.iter_mut().enumerate() {
-                            for ch in 0..jj {
-                                snap[s][(seg_rows[s] + c, ch)] =
-                                    block[(u * nbins + bi, ci + c, ch)].conj();
-                            }
-                        }
-                    }
-                    seg_rows[s] += cnt;
-                    ci += cnt;
-                }
-            }
-            let beam = sub.scpi as usize % beams;
-            let steering = &ctx.steering[beam];
-            let mut weights: Vec<CMat> = Vec::with_capacity(nbins * segs);
-            for bi in 0..nbins {
-                let bin = hard_bins[bins_idx.start + bi];
-                let constraint = hard_constraint(p, bin);
-                for (s, snap) in snapshots[bi].iter().enumerate() {
-                    let r_prev = r_state
-                        .entry((sub.stream, beam, bi, s))
-                        .or_insert_with(|| CMat::zeros(jj, jj));
-                    let r_new = qr_update(r_prev, p.forgetting_factor, snap);
-                    let k = mean_abs(snap) * p.beam_constraint_wt;
-                    let w = constrained_lstsq_from_r(&r_new, &constraint, k, steering);
-                    *r_prev = r_new;
-                    weights.push(w);
-                }
-            }
-            for (i, (_, ov)) in targets.iter().enumerate() {
-                for bn in ov.clone() {
-                    let base = (bn - bins_idx.start) * segs;
-                    per_node[i].extend(weights[base..base + segs].iter().cloned());
-                }
-            }
-        }
-        for block in blocks.drain(..) {
-            ctx.pools.cx.recycle(block);
-        }
-        for ((dst, _), w) in targets.iter().zip(per_node) {
-            comm.send(
-                *dst,
-                tag(Edge::HardWtToHardBf, slot),
-                Msg::grouped(slot, group.clone(), Payload::Weights(w)),
-            );
-        }
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit {
-        health,
-        busy,
-        state: TaskState::HardWt(
-            r_state
-                .into_iter()
-                .map(|((s, bm, bi, seg), m)| ((s, bm, bins_idx.start + bi, seg), m))
-                .collect(),
-        ),
-    }
-}
-
-/// Resident easy beamform (task 3): per-(stream, beam) weight FIFOs,
-/// push-then-consume per slot.
-fn resident_easy_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
-    let p = ctx.params;
-    let bins_idx = ctx.parts.easy_bf_bins[local].clone();
-    let nbins = bins_idx.len();
-    let easy_bins = p.easy_bins();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let beams = ctx.steering.len();
-    let pool = &ctx.pools.cx;
-    let wt_sources = weight_sources(
-        &ctx.parts.easy_wt_bins,
-        &bins_idx,
-        ctx.assign.rank_range(EASY_WT).start,
-    );
-    let pc_mine: Vec<Vec<usize>> = ctx
-        .parts
-        .pc_bins
-        .iter()
-        .map(|pc_bins| {
-            bins_idx
-                .clone()
-                .filter(|&bn| pc_bins.contains(&easy_bins[bn]))
-                .collect()
-        })
-        .collect();
-    let mut data_by = ByGroup::<CCube>::new(ctx.max_group);
-    let mut out_by = ByGroup::<CCube>::new(ctx.max_group);
-    let mut slab = CMat::zeros(p.j_channels, p.k_range);
-    let mut y = CMat::zeros(p.m_beams, p.k_range);
-    let mut fifo: HashMap<(u16, usize), VecDeque<Vec<CMat>>> =
-        import_ring(&ctx.carry.easy_fifo, &bins_idx);
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    'outer: loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let mut group: Option<Arc<[SubCpi]>> = None;
-        let mut first = true;
-        for dp in 0..p0 {
-            let m = comm
-                .recv(dop0 + dp, tag(Edge::DopplerToEasyBf, slot))
-                .unwrap();
-            match expect_grouped_cube(m) {
-                Some((g, block)) => {
-                    let b = g.len();
-                    if first {
-                        first = false;
-                        group = Some(g);
-                        // Touch the workspaces so they exist for this size.
-                        data_by.get(b, |b| CCube::zeros([b * nbins, p.k_range, p.j_channels]));
-                        out_by.get(b, |b| CCube::zeros([b * nbins, p.m_beams, p.k_range]));
-                    }
-                    let data = data_by.slots[b].as_mut().unwrap();
-                    let k0 = ctx.parts.doppler_k[dp].start;
-                    data.place([0, k0, 0], &block);
-                    pool.recycle(block);
-                }
-                None => {
-                    // Remaining Doppler shutdowns were drained; drain the
-                    // weight-edge shutdowns, cascade to PC and exit.
-                    for (src, _) in &wt_sources {
-                        let m2 = comm.recv(*src, tag(Edge::EasyWtToEasyBf, slot)).unwrap();
-                        assert!(matches!(m2.payload, Payload::Shutdown));
-                    }
-                    for (t, _) in pc_mine.iter().enumerate() {
-                        let dst = ctx.assign.rank_range(PC).start + t;
-                        comm.send(
-                            dst,
-                            tag(Edge::EasyBfToPc, slot),
-                            Msg::new(slot, Payload::Shutdown),
-                        );
-                    }
-                    break 'outer;
-                }
-            }
-        }
-        let group = group.expect("at least one Doppler node");
-        let t_busy = Instant::now();
-        let b = group.len();
-        let data = data_by.slots[b].as_mut().unwrap();
-        let out = out_by.slots[b].as_mut().unwrap();
-
-        // Push phase: assemble each member CPI's freshly-computed
-        // per-bin weight set from the slot's weight messages and file it
-        // in that member's (stream, beam) FIFO.
-        let mut pushed: Vec<Vec<Option<CMat>>> = (0..b).map(|_| vec![None; nbins]).collect();
-        for (src, ov) in &wt_sources {
-            let m = comm.recv(*src, tag(Edge::EasyWtToEasyBf, slot)).unwrap();
-            let w = expect_weights(m.payload);
-            let ol = ov.len();
-            debug_assert_eq!(w.len(), b * ol);
-            for (u, sub_w) in w.chunks(ol).enumerate() {
-                for (i, bn) in ov.clone().enumerate() {
-                    pushed[u][bn - bins_idx.start] = Some(sub_w[i].clone());
-                }
-            }
-        }
-        for (u, pb) in pushed.into_iter().enumerate() {
-            let sub = group[u];
-            let beam = sub.scpi as usize % beams;
-            let set: Vec<CMat> = pb
-                .into_iter()
-                .map(|w| w.expect("missing weights from overlap source"))
-                .collect();
-            fifo.entry((sub.stream, beam)).or_default().push_back(set);
-        }
-
-        // Consume phase: beamform each member with the weights computed
-        // from its own stream's CPI `scpi - beams` (quiescent before the
-        // first revisit), exactly the per-stream serial schedule.
-        for (u, sub) in group.iter().enumerate() {
-            let beam = sub.scpi as usize % beams;
-            let weights: Vec<CMat> = if (sub.scpi as usize) < beams {
-                vec![normalize_columns(ctx.steering[beam].clone()); nbins]
-            } else {
-                fifo.get_mut(&(sub.stream, beam))
-                    .and_then(VecDeque::pop_front)
-                    .expect("weight FIFO underflow: streams must submit CPIs in order")
-            };
-            for bi in 0..nbins {
-                slab.fill_from_fn(|ch, kc| data[(u * nbins + bi, kc, ch)]);
-                weights[bi].hermitian_matmul_into(&slab, &mut y);
-                for m in 0..p.m_beams {
-                    out.lane_mut(u * nbins + bi, m).copy_from_slice(y.row(m));
-                }
-            }
-        }
-
-        for (t, mine) in pc_mine.iter().enumerate() {
-            let ml = mine.len();
-            let block = gather_plane_rows(pool, out, b, ml, |u, o| {
-                u * nbins + mine[o] - bins_idx.start
-            });
-            let dst = ctx.assign.rank_range(PC).start + t;
-            comm.send(
-                dst,
-                tag(Edge::EasyBfToPc, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit {
-        health,
-        busy,
-        state: TaskState::EasyBf(export_ring(fifo, bins_idx.start)),
-    }
-}
-
-/// Resident hard beamform (task 4): per-(bin, segment) weight sets in
-/// per-(stream, beam) FIFOs.
-fn resident_hard_bf(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
-    let p = ctx.params;
-    let bins_idx = ctx.parts.hard_bf_bins[local].clone();
-    let nbins = bins_idx.len();
-    let hard_bins = p.hard_bins();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let beams = ctx.steering.len();
-    let jj = 2 * p.j_channels;
-    let segs = p.num_segments();
-    let pool = &ctx.pools.cx;
-    let wt_sources = weight_sources(
-        &ctx.parts.hard_wt_bins,
-        &bins_idx,
-        ctx.assign.rank_range(HARD_WT).start,
-    );
-    let pc_mine: Vec<Vec<usize>> = ctx
-        .parts
-        .pc_bins
-        .iter()
-        .map(|pc_bins| {
-            bins_idx
-                .clone()
-                .filter(|&bn| pc_bins.contains(&hard_bins[bn]))
-                .collect()
-        })
-        .collect();
-    let seg_ranges: Vec<Range<usize>> = (0..segs).map(|s| p.segment_range(s)).collect();
-    let mut data_by = ByGroup::<CCube>::new(ctx.max_group);
-    let mut out_by = ByGroup::<CCube>::new(ctx.max_group);
-    let mut slabs: Vec<CMat> = seg_ranges
-        .iter()
-        .map(|r| CMat::zeros(jj, r.len()))
-        .collect();
-    let mut ys: Vec<CMat> = seg_ranges
-        .iter()
-        .map(|r| CMat::zeros(p.m_beams, r.len()))
-        .collect();
-    let mut fifo: HashMap<(u16, usize), VecDeque<Vec<Vec<CMat>>>> =
-        import_ring(&ctx.carry.hard_fifo, &bins_idx);
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-
-    let quiescent = |beam: usize| -> Vec<Vec<CMat>> {
-        bins_idx
-            .clone()
-            .map(|bn| {
-                let bin = hard_bins[bn];
-                let phase = Cx::cis(
-                    2.0 * std::f64::consts::PI * bin as f64 * p.stagger as f64 / p.n_pulses as f64,
-                );
-                let s = &ctx.steering[beam];
-                let w = CMat::from_fn(jj, p.m_beams, |r, c| {
-                    if r < p.j_channels {
-                        s[(r, c)]
-                    } else {
-                        s[(r - p.j_channels, c)] * phase
-                    }
-                });
-                vec![normalize_columns(w); segs]
-            })
-            .collect()
-    };
-
-    'outer: loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let mut group: Option<Arc<[SubCpi]>> = None;
-        let mut first = true;
-        for dp in 0..p0 {
-            let m = comm
-                .recv(dop0 + dp, tag(Edge::DopplerToHardBf, slot))
-                .unwrap();
-            match expect_grouped_cube(m) {
-                Some((g, block)) => {
-                    let b = g.len();
-                    if first {
-                        first = false;
-                        group = Some(g);
-                        data_by.get(b, |b| CCube::zeros([b * nbins, p.k_range, jj]));
-                        out_by.get(b, |b| CCube::zeros([b * nbins, p.m_beams, p.k_range]));
-                    }
-                    let data = data_by.slots[b].as_mut().unwrap();
-                    let k0 = ctx.parts.doppler_k[dp].start;
-                    data.place([0, k0, 0], &block);
-                    pool.recycle(block);
-                }
-                None => {
-                    for (src, _) in &wt_sources {
-                        let m2 = comm.recv(*src, tag(Edge::HardWtToHardBf, slot)).unwrap();
-                        assert!(matches!(m2.payload, Payload::Shutdown));
-                    }
-                    for (t, _) in pc_mine.iter().enumerate() {
-                        let dst = ctx.assign.rank_range(PC).start + t;
-                        comm.send(
-                            dst,
-                            tag(Edge::HardBfToPc, slot),
-                            Msg::new(slot, Payload::Shutdown),
-                        );
-                    }
-                    break 'outer;
-                }
-            }
-        }
-        let group = group.expect("at least one Doppler node");
-        let t_busy = Instant::now();
-        let b = group.len();
-        let data = data_by.slots[b].as_mut().unwrap();
-        let out = out_by.slots[b].as_mut().unwrap();
-
-        let mut pushed: Vec<Vec<Option<Vec<CMat>>>> = (0..b).map(|_| vec![None; nbins]).collect();
-        for (src, ov) in &wt_sources {
-            let m = comm.recv(*src, tag(Edge::HardWtToHardBf, slot)).unwrap();
-            let w = expect_weights(m.payload);
-            let ol = ov.len();
-            debug_assert_eq!(w.len(), b * ol * segs);
-            for (u, sub_w) in w.chunks(ol * segs).enumerate() {
-                for (i, bn) in ov.clone().enumerate() {
-                    pushed[u][bn - bins_idx.start] = Some(sub_w[i * segs..(i + 1) * segs].to_vec());
-                }
-            }
-        }
-        for (u, pb) in pushed.into_iter().enumerate() {
-            let sub = group[u];
-            let beam = sub.scpi as usize % beams;
-            let set: Vec<Vec<CMat>> = pb
-                .into_iter()
-                .map(|w| w.expect("missing weights from overlap source"))
-                .collect();
-            fifo.entry((sub.stream, beam)).or_default().push_back(set);
-        }
-
-        for (u, sub) in group.iter().enumerate() {
-            let beam = sub.scpi as usize % beams;
-            let weights: Vec<Vec<CMat>> = if (sub.scpi as usize) < beams {
-                quiescent(beam)
-            } else {
-                fifo.get_mut(&(sub.stream, beam))
-                    .and_then(VecDeque::pop_front)
-                    .expect("weight FIFO underflow: streams must submit CPIs in order")
-            };
-            for bi in 0..nbins {
-                for seg in 0..segs {
-                    let r = &seg_ranges[seg];
-                    slabs[seg].fill_from_fn(|ch, kc| data[(u * nbins + bi, r.start + kc, ch)]);
-                    weights[bi][seg].hermitian_matmul_into(&slabs[seg], &mut ys[seg]);
-                    for m in 0..p.m_beams {
-                        out.lane_mut(u * nbins + bi, m)[r.clone()].copy_from_slice(ys[seg].row(m));
-                    }
-                }
-            }
-        }
-
-        for (t, mine) in pc_mine.iter().enumerate() {
-            let ml = mine.len();
-            let block = gather_plane_rows(pool, out, b, ml, |u, o| {
-                u * nbins + mine[o] - bins_idx.start
-            });
-            let dst = ctx.assign.rank_range(PC).start + t;
-            comm.send(
-                dst,
-                tag(Edge::HardBfToPc, slot),
-                Msg::grouped(slot, group.clone(), Payload::Cube(block)),
-            );
-        }
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit {
-        health,
-        busy,
-        state: TaskState::HardBf(export_ring(fifo, bins_idx.start)),
-    }
-}
-
-/// Resident pulse compression (task 5): the whole slot group through
-/// one `process_into_with` pass over the concatenated cube.
-fn resident_pc(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
-    let p = ctx.params;
-    let my_bins = ctx.parts.pc_bins[local].clone();
-    let ml = my_bins.len();
-    let easy_bins = p.easy_bins();
-    let hard_bins = p.hard_bins();
-    let compressor = PulseCompressor::new(p);
-    let mut feeders: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (r, idx) in ctx.parts.easy_bf_bins.iter().enumerate() {
-        let bins: Vec<usize> = idx
-            .clone()
-            .map(|bn| easy_bins[bn])
-            .filter(|bn| my_bins.contains(bn))
-            .collect();
-        feeders.push((ctx.assign.rank_range(EASY_BF).start + r, bins));
-    }
-    for (r, idx) in ctx.parts.hard_bf_bins.iter().enumerate() {
-        let bins: Vec<usize> = idx
-            .clone()
-            .map(|bn| hard_bins[bn])
-            .filter(|bn| my_bins.contains(bn))
-            .collect();
-        feeders.push((ctx.assign.rank_range(HARD_BF).start + r, bins));
-    }
-    let cfar_ov: Vec<Range<usize>> = ctx
-        .parts
-        .cfar_bins
-        .iter()
-        .map(|c| overlap(&my_bins, c))
-        .collect();
-    let mut data_by = ByGroup::<CCube>::new(ctx.max_group);
-    let mut power_by = ByGroup::<RCube>::new(ctx.max_group);
-    let mut pc_ws = PulseScratch::new();
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    'outer: loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let mut group: Option<Arc<[SubCpi]>> = None;
-        let mut first = true;
-        for (fi, (src, bins)) in feeders.iter().enumerate() {
-            let m = comm.recv(*src, tag(edge_for(ctx, *src), slot)).unwrap();
-            match expect_grouped_cube(m) {
-                Some((g, block)) => {
-                    let b = g.len();
-                    if first {
-                        first = false;
-                        group = Some(g);
-                        data_by.get(b, |b| CCube::zeros([b * ml, p.m_beams, p.k_range]));
-                        power_by.get(b, |b| RCube::zeros([b * ml, p.m_beams, p.k_range]));
-                    }
-                    let data = data_by.slots[b].as_mut().unwrap();
-                    let bl = bins.len();
-                    debug_assert_eq!(block.shape()[0], b * bl);
-                    for u in 0..b {
-                        for (i, &bn) in bins.iter().enumerate() {
-                            for m in 0..p.m_beams {
-                                data.lane_mut(u * ml + bn - my_bins.start, m)
-                                    .copy_from_slice(block.lane(u * bl + i, m));
-                            }
-                        }
-                    }
-                    ctx.pools.cx.recycle(block);
-                }
-                None => {
-                    for (src2, _) in feeders.iter().skip(fi + 1) {
-                        let m2 = comm.recv(*src2, tag(edge_for(ctx, *src2), slot)).unwrap();
-                        assert!(matches!(m2.payload, Payload::Shutdown));
-                    }
-                    for u in 0..ctx.parts.cfar_bins.len() {
-                        let dst = ctx.assign.rank_range(CFAR).start + u;
-                        comm.send(
-                            dst,
-                            tag(Edge::PcToCfar, slot),
-                            Msg::new(slot, Payload::Shutdown),
-                        );
-                    }
-                    break 'outer;
-                }
-            }
-        }
-        let group = group.expect("at least one feeder");
-        let t_busy = Instant::now();
-        let b = group.len();
-        let data = data_by.slots[b].as_mut().unwrap();
-        let power = power_by.slots[b].as_mut().unwrap();
-        compressor.process_into_with(data, power, &mut pc_ws);
-        for (u_cf, ov) in cfar_ov.iter().enumerate() {
-            let ol = ov.len();
-            let block = gather_plane_rows(&ctx.pools.real, power, b, ol, |u, o| {
-                u * ml + ov.start + o - my_bins.start
-            });
-            let dst = ctx.assign.rank_range(CFAR).start + u_cf;
-            comm.send(
-                dst,
-                tag(Edge::PcToCfar, slot),
-                Msg::grouped(slot, group.clone(), Payload::Real(block)),
-            );
-        }
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit::stateless(health, busy)
-}
-
-/// Which BF->PC edge a sender rank uses (PC receives on two edges).
-fn edge_for(ctx: &ResCtx, src: usize) -> Edge {
-    if src < ctx.assign.rank_range(HARD_BF).start {
-        Edge::EasyBfToPc
-    } else {
-        Edge::HardBfToPc
-    }
-}
-
-/// Resident CFAR (task 6): per-member detection lists, one grouped
-/// `DetectionsGroup` message to the driver per slot.
-fn resident_cfar(ctx: &ResCtx, comm: &mut Comm<Msg>, local: usize) -> TaskExit {
-    let p = ctx.params;
-    let my_bins = ctx.parts.cfar_bins[local].clone();
-    let ml = my_bins.len();
-    let driver = ctx.assign.driver_rank();
-    let feeders: Vec<(usize, Range<usize>)> = ctx
-        .parts
-        .pc_bins
-        .iter()
-        .enumerate()
-        .map(|(t, r)| (ctx.assign.rank_range(PC).start + t, overlap(r, &my_bins)))
-        .collect();
-    let mut power_by = ByGroup::<RCube>::new(ctx.max_group);
-    let mut scratch = cfar::CfarScratch::for_task(p, ml);
-    let mut health = PipelineHealth::default();
-    let mut busy = 0.0f64;
-    let mut slot = 0usize;
-    'outer: loop {
-        sample_mailbox(comm, &mut health);
-        comm.fault_checkpoint(slot as u64);
-        let mut group: Option<Arc<[SubCpi]>> = None;
-        let mut first = true;
-        for (fi, (src, ov)) in feeders.iter().enumerate() {
-            let m = comm.recv(*src, tag(Edge::PcToCfar, slot)).unwrap();
-            match expect_grouped_real(m) {
-                Some((g, block)) => {
-                    let b = g.len();
-                    if first {
-                        first = false;
-                        group = Some(g);
-                        power_by.get(b, |b| RCube::zeros([b * ml, p.m_beams, p.k_range]));
-                    }
-                    let power = power_by.slots[b].as_mut().unwrap();
-                    let ol = ov.len();
-                    debug_assert_eq!(block.shape()[0], b * ol);
-                    for u in 0..b {
-                        for i in 0..ol {
-                            for m in 0..p.m_beams {
-                                power
-                                    .lane_mut(u * ml + ov.start - my_bins.start + i, m)
-                                    .copy_from_slice(block.lane(u * ol + i, m));
-                            }
-                        }
-                    }
-                    ctx.pools.real.recycle(block);
-                }
-                None => {
-                    for (src2, _) in feeders.iter().skip(fi + 1) {
-                        let m2 = comm.recv(*src2, tag(Edge::PcToCfar, slot)).unwrap();
-                        assert!(matches!(m2.payload, Payload::Shutdown));
-                    }
-                    break 'outer;
-                }
-            }
-        }
-        let group = group.expect("at least one PC node");
-        let t_busy = Instant::now();
-        let b = group.len();
-        let power = power_by.slots[b].as_mut().unwrap();
-        let mut per_sub: Vec<Vec<Detection>> = Vec::with_capacity(b);
-        // Screening attributes non-finite power to the owning sub-CPI:
-        // each member's lanes are disjoint rows of the slot cube, so a
-        // poisoned tenant degrades its own CPI, never its slot-mates'.
-        let mut mask: Vec<bool> = Vec::new();
-        for u in 0..b {
-            scratch.begin_cpi();
-            let mut poisoned = false;
-            for bi in 0..ml {
-                for m in 0..p.m_beams {
-                    let lane = power.lane(u * ml + bi, m);
-                    if ctx.screen && !lane.iter().all(|v| v.is_finite()) {
-                        poisoned = true;
-                    }
-                    cfar::cfar_lane(p, lane, my_bins.start + bi, m, &mut scratch.detections);
-                }
-            }
-            if ctx.screen {
-                mask.push(poisoned);
-            }
-            per_sub.push(scratch.take());
-        }
-        comm.send(
-            driver,
-            tag(Edge::Output, slot),
-            Msg::grouped(slot, group.clone(), Payload::DetectionsGroup(per_sub, mask)),
-        );
-        busy += t_busy.elapsed().as_secs_f64();
-        slot += 1;
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    TaskExit::stateless(health, busy)
-}
-
-/// The driver arm of a resident session: windowed slot injection from
-/// the jobs channel, completion collection, shutdown cascade.
-fn resident_driver(
-    ctx: &ResCtx,
-    comm: &mut Comm<Msg>,
-    window: usize,
-    jobs: Receiver<Vec<CpiJob>>,
-    done: Sender<CpiDone>,
-) -> (PipelineHealth, u64, u64) {
-    let p = ctx.params;
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let cfar_ranks: Vec<usize> = ctx.assign.rank_range(CFAR).collect();
-    let mut inflight: VecDeque<(Arc<[SubCpi]>, Vec<Instant>)> = VecDeque::with_capacity(window);
-    let mut health = PipelineHealth::default();
-    let mut next_slot = 0usize;
-    let mut collected = 0usize;
-    let mut cpis = 0u64;
-    let mut open = true;
-    while open || collected < next_slot {
-        comm.fault_checkpoint(next_slot as u64);
-        // Fill the window. Block for the first job only when nothing is
-        // in flight; otherwise prefer draining completed slots.
-        while open && next_slot - collected < window {
-            let batch = if collected < next_slot {
-                match jobs.try_recv() {
-                    Ok(bt) => Some(bt),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        open = false;
-                        break;
-                    }
-                }
-            } else {
-                match jobs.recv() {
-                    Ok(bt) => Some(bt),
-                    Err(_) => {
-                        open = false;
-                        break;
-                    }
-                }
-            };
-            let Some(batch) = batch else { break };
-            if batch.is_empty() {
-                continue;
-            }
-            assert!(
-                batch.len() <= ctx.max_group,
-                "slot group of {} exceeds max_group {}",
-                batch.len(),
-                ctx.max_group
-            );
-            let b = batch.len();
-            let group: Arc<[SubCpi]> = batch
-                .iter()
-                .map(|j| SubCpi {
-                    stream: j.stream,
-                    scpi: j.scpi,
-                })
-                .collect();
-            let submitted: Vec<Instant> = batch.iter().map(|j| j.submitted).collect();
-            for (pn, kr) in ctx.parts.doppler_k.iter().enumerate() {
-                let klen = kr.len();
-                // Axis 0 is the slowest axis, so each sub-CPI's k-slab is
-                // one contiguous run: assemble the group slab with b slice
-                // copies rather than an element-wise rebuild.
-                let row = p.j_channels * p.n_pulses;
-                let mut buf = ctx.pools.cx.get(b * klen * row);
-                for job in &batch {
-                    buf.extend_from_slice(&job.cube.as_slice()[kr.start * row..kr.end * row]);
-                }
-                let slab = CCube::from_vec([b * klen, p.j_channels, p.n_pulses], buf);
-                comm.send(
-                    dop0 + pn,
-                    tag(Edge::Input, next_slot),
-                    Msg::grouped(next_slot, group.clone(), Payload::Cube(slab)),
-                );
-            }
-            for job in batch {
-                ctx.pools.cx.recycle(job.cube);
-            }
-            inflight.push_back((group, submitted));
-            next_slot += 1;
-        }
-        if collected < next_slot {
-            sample_mailbox(comm, &mut health);
-            let (group, submitted) = inflight.pop_front().unwrap();
-            let b = group.len();
-            let mut per_sub: Vec<Vec<Detection>> = (0..b).map(|_| Vec::new()).collect();
-            let mut degraded = vec![false; b];
-            for &src in &cfar_ranks {
-                let m = comm.recv(src, tag(Edge::Output, collected)).unwrap();
-                match m.payload {
-                    Payload::DetectionsGroup(gs, mask) => {
-                        debug_assert_eq!(gs.len(), b);
-                        for (u, ds) in gs.into_iter().enumerate() {
-                            per_sub[u].extend(ds);
-                        }
-                        for (u, &bad) in mask.iter().enumerate() {
-                            degraded[u] |= bad;
-                        }
-                    }
-                    other => panic!("resident driver: expected DetectionsGroup, got {other:?}"),
-                }
-            }
-            let now = Instant::now();
-            for (u, mut ds) in per_sub.into_iter().enumerate() {
-                ds.sort_by_key(|d| (d.bin, d.beam, d.range));
-                if degraded[u] {
-                    health.degraded_cpis += 1;
-                }
-                // A closed `done` receiver is fine: keep draining.
-                let _ = done.send(CpiDone {
-                    stream: group[u].stream,
-                    scpi: group[u].scpi,
-                    detections: ds,
-                    latency: now.duration_since(submitted[u]).as_secs_f64(),
-                    degraded: degraded[u],
-                });
-            }
-            cpis += b as u64;
-            collected += 1;
-        }
-    }
-    // Every slot drained: cascade the shutdown from the input edge.
-    for pn in 0..ctx.parts.doppler_k.len() {
-        comm.send(
-            dop0 + pn,
-            tag(Edge::Input, next_slot),
-            Msg::new(next_slot, Payload::Shutdown),
-        );
-    }
-    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    (health, cpis, next_slot as u64)
 }
 
 #[cfg(test)]

@@ -1,15 +1,15 @@
-//! World construction, CPI injection and result collection.
+//! Batch runs: world construction over a fixed CPI list, and the
+//! aggregation of per-rank results into timings and traces. Every rank
+//! body is one of the loops in [`crate::tasks`] that resident sessions
+//! run too.
 
-use crate::assignment::{
-    NodeAssignment, Partitions, CFAR, DOPPLER, EASY_BF, EASY_WT, HARD_BF, HARD_WT, PC,
-};
+use crate::assignment::{NodeAssignment, Partitions};
 use crate::fault::{nan_corruptor, RuntimePolicy};
 use crate::metrics::{CpiOutcome, PipelineHealth, PipelineTimings, TaskTiming};
-use crate::msg::{tag, Edge, Msg, Payload};
-use crate::tasks::{
-    purge_late, recv_msg, run_cfar, run_doppler, run_easy_bf, run_easy_weight, run_hard_bf,
-    run_hard_weight, run_pc, PipelinePools, Recvd, TaskCtx, TaskReport,
-};
+use crate::msg::Msg;
+use crate::resident::ResidentState;
+use crate::stages::run_task;
+use crate::tasks::{drive, Feed, PipelinePools, Sink, TaskCtx, TaskReport};
 use stap_core::{Detection, StapParams};
 use stap_cube::CCube;
 use stap_math::CMat;
@@ -86,7 +86,7 @@ pub enum RankResult {
 /// Everything the driver rank collects: merged detections plus the
 /// raw per-CPI timestamps the aggregation turns into throughput and
 /// latency.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DriverResult {
     /// Detections per CPI, merged across CFAR nodes and sorted.
     pub detections: Vec<Vec<Detection>>,
@@ -176,15 +176,7 @@ impl ParallelStap {
     /// Builds a runner whose steering fans match
     /// [`stap_core::SequentialStap::for_scenario`].
     pub fn for_scenario(params: StapParams, assign: NodeAssignment, scenario: &Scenario) -> Self {
-        let steering = scenario
-            .transmit_beams
-            .iter()
-            .map(|&c| {
-                scenario
-                    .geom
-                    .beam_fan(c, scenario.beam_half_width_deg / 2.0, params.m_beams)
-            })
-            .collect();
+        let steering = scenario_steering(&params, scenario);
         ParallelStap::new(params, assign, steering)
     }
 
@@ -271,153 +263,33 @@ impl ParallelStap {
         pools: &PipelinePools,
         epoch: Option<Instant>,
     ) -> RankResult {
-        let rank = comm.rank();
+        let carry = ResidentState::default();
         let ctx = TaskCtx {
             params: &self.params,
             assign: &self.assign,
             parts,
             steering: &self.steering,
-            num_cpis: cpis.len(),
             pools,
             policy: &self.policy,
+            limit: Some(cpis.len()),
+            max_group: 1,
+            screen: false,
+            carry: &carry,
             epoch,
         };
-        match self.assign.task_of_rank(rank) {
-            Some((DOPPLER, local)) => RankResult::Task {
-                task: DOPPLER,
-                node: local,
-                report: run_doppler(&ctx, comm, local),
+        match self.assign.task_of_rank(comm.rank()) {
+            Some((task, node)) => RankResult::Task {
+                task,
+                node,
+                report: run_task(&ctx, comm, task, node).report,
             },
-            Some((EASY_WT, local)) => RankResult::Task {
-                task: EASY_WT,
-                node: local,
-                report: run_easy_weight(&ctx, comm, local),
-            },
-            Some((HARD_WT, local)) => RankResult::Task {
-                task: HARD_WT,
-                node: local,
-                report: run_hard_weight(&ctx, comm, local),
-            },
-            Some((EASY_BF, local)) => RankResult::Task {
-                task: EASY_BF,
-                node: local,
-                report: run_easy_bf(&ctx, comm, local),
-            },
-            Some((HARD_BF, local)) => RankResult::Task {
-                task: HARD_BF,
-                node: local,
-                report: run_hard_bf(&ctx, comm, local),
-            },
-            Some((PC, local)) => RankResult::Task {
-                task: PC,
-                node: local,
-                report: run_pc(&ctx, comm, local),
-            },
-            Some((CFAR, local)) => RankResult::Task {
-                task: CFAR,
-                node: local,
-                report: run_cfar(&ctx, comm, local),
-            },
-            Some(_) => unreachable!("unknown task"),
-            None => RankResult::Driver(self.run_driver(comm, cpis, parts, pools, epoch)),
-        }
-    }
-
-    /// The driver rank: inject CPI slabs (windowed) and collect
-    /// detections, recording injection and completion times and
-    /// classifying each CPI's outcome.
-    fn run_driver(
-        &self,
-        comm: &mut stap_mp::Comm<Msg>,
-        cpis: &[CCube],
-        parts: &Partitions,
-        pools: &PipelinePools,
-        epoch: Option<Instant>,
-    ) -> DriverResult {
-        let num_cpis = cpis.len();
-        let window = self.window.max(1);
-        let policy = &self.policy;
-        let cfar_ranks: Vec<usize> = self.assign.rank_range(CFAR).collect();
-        let mut detections: Vec<Vec<Detection>> = Vec::with_capacity(num_cpis);
-        let mut outcomes: Vec<CpiOutcome> = Vec::with_capacity(num_cpis);
-        let mut health = PipelineHealth::default();
-        let mut inject_t = vec![0.0f64; num_cpis];
-        let mut complete_t = vec![0.0f64; num_cpis];
-        // Under tracing the driver clock shares the trace epoch so CPI
-        // marks line up with the spans.
-        let t0 = epoch.unwrap_or_else(Instant::now);
-        let mut next_inject = 0usize;
-        // `done` is simultaneously a tag, a checkpoint epoch and an
-        // index; an enumerate rewrite would obscure it.
-        #[allow(clippy::needless_range_loop)]
-        for done in 0..num_cpis {
-            comm.fault_checkpoint(done as u64);
-            while next_inject < num_cpis && next_inject < done + window {
-                let cube = &cpis[next_inject];
-                inject_t[next_inject] = t0.elapsed().as_secs_f64();
-                for (pn, kr) in parts.doppler_k.iter().enumerate() {
-                    // Input slabs come from the shared pool too; the
-                    // Doppler nodes retire them after use.
-                    let buf = pools
-                        .cx
-                        .get(kr.len() * self.params.j_channels * self.params.n_pulses);
-                    let slab = cube.extract_into(
-                        kr.clone(),
-                        0..self.params.j_channels,
-                        0..self.params.n_pulses,
-                        buf,
-                    );
-                    comm.send(
-                        self.assign.rank_range(DOPPLER).start + pn,
-                        tag(Edge::Input, next_inject),
-                        Msg::new(next_inject, Payload::Cube(slab)),
-                    );
-                }
-                next_inject += 1;
+            None => {
+                let mut result = DriverResult::default();
+                let sink = Sink::Batch(&mut result);
+                let window = self.window.max(1);
+                result.health = drive(&ctx, comm, window, Feed::Cpis(cpis), sink).0;
+                RankResult::Driver(result)
             }
-            let mut merged = Vec::new();
-            let mut lost = false;
-            let mut degraded = false;
-            for &src in &cfar_ranks {
-                match recv_msg(
-                    comm,
-                    src,
-                    tag(Edge::Output, done),
-                    done,
-                    policy,
-                    policy.edge_timeout,
-                    &mut health,
-                ) {
-                    Recvd::Data(Payload::Detections(d), deg) => {
-                        degraded |= deg;
-                        merged.extend(d);
-                    }
-                    Recvd::Data(other, _) => {
-                        panic!("expected detections, got {other:?}")
-                    }
-                    Recvd::Gone => lost = true,
-                }
-            }
-            merged.sort_by_key(|d| (d.bin, d.beam, d.range));
-            complete_t[done] = t0.elapsed().as_secs_f64();
-            outcomes.push(if lost {
-                CpiOutcome::Dropped
-            } else if degraded {
-                CpiOutcome::DegradedStaleWeights
-            } else {
-                CpiOutcome::Ok
-            });
-            detections.push(if lost { Vec::new() } else { merged });
-            if policy.fault_tolerant {
-                purge_late(comm, done, &mut health);
-            }
-        }
-        DriverResult {
-            detections,
-            inject_t,
-            complete_t,
-            outcomes,
-            health,
         }
     }
 
@@ -534,6 +406,14 @@ impl ParallelStap {
             trace,
         }
     }
+}
+
+/// The steering fan per transmit beam of `scenario`, matching
+/// [`stap_core::SequentialStap::for_scenario`].
+pub(crate) fn scenario_steering(params: &StapParams, scenario: &Scenario) -> Vec<CMat> {
+    let half_width = scenario.beam_half_width_deg / 2.0;
+    let fan = |&c: &f64| scenario.geom.beam_fan(c, half_width, params.m_beams);
+    scenario.transmit_beams.iter().map(fan).collect()
 }
 
 fn mean(xs: &[f64]) -> f64 {

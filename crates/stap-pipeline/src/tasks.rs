@@ -1,48 +1,57 @@
-//! Per-node SPMD loops for the seven pipeline tasks.
+//! The per-rank loop and the driver loop every pipeline run executes.
 //!
-//! Senders pack ("data collection and reorganization") and receivers
-//! assemble; both sides compute the *same* deterministic index lists
-//! from the shared parameters and partitions, so no index metadata
-//! travels on the wire. All sends are asynchronous; receives block with
-//! (source, tag) matching, and the tag carries the CPI index so
-//! successive CPIs never cross-match.
+//! Batch runs ([`crate::runner::ParallelStap`]) and resident sessions
+//! ([`crate::resident::ResidentStap`]) share this code: a batch CPI is
+//! a one-member slot (stream 0, `scpi` = CPI index), a resident slot
+//! coalesces up to `max_group` CPIs of any streams. Each of the seven
+//! tasks is a [`Stage`] (see the `stages` module) that supplies only its
+//! input sources, how a received block is placed, its compute and its
+//! outputs. [`run_node`] owns everything else for every stage:
 //!
-//! Bitwise equivalence with the sequential reference is maintained by
-//! assembling exactly the matrices `stap_core` builds, in the same
-//! element order, and calling the same kernels.
+//! * the fault checkpoint and mailbox sampling at the top of each slot;
+//! * the receive — fail-fast blocking when fault tolerance is off;
+//!   deadline, retry, seq check and quarantine under
+//!   [`RuntimePolicy::fault_tolerant`];
+//! * `Dropped` propagation, the end-of-slot purge and pool retirement;
+//! * phase timing, busy time and the optional trace span;
+//! * the end of the run: a batch run stops after its CPI count (it
+//!   sends no `Shutdown`), a resident session unwinds on the `Shutdown`
+//!   cascade the driver starts once its jobs channel closes.
+//!
+//! [`drive`] is the driver rank for both kinds of run, over a slot
+//! source ([`Feed`]: the batch CPI list or the resident jobs channel)
+//! and a completion sink ([`Sink`]: a [`DriverResult`] or `CpiDone`s).
+//!
+//! Senders pack and receivers assemble; both sides compute the *same*
+//! deterministic index lists from the shared parameters and partitions,
+//! so no index metadata travels on the wire. All sends are
+//! asynchronous; receives block with (source, tag) matching, and the
+//! tag carries the slot index so successive slots never cross-match.
 //!
 //! # Steady-state allocation discipline
 //!
-//! Every per-CPI buffer whose size repeats exactly each cycle is either
-//! hoisted out of the CPI loop (assembly cubes, beamforming scratch
-//! matrices, FFT/pulse-compression workspaces) or drawn from the shared
-//! [`PipelinePools`] recycling pools (every redistribution message).
-//! Receivers retire consumed message buffers back into the pool, so
-//! after one warmup CPI the hot path performs no heap allocation for
-//! kernels or packing — only the small, variable-size weight matrices
-//! and detection lists still allocate.
+//! Every cube that travels an edge is drawn from the shared
+//! [`PipelinePools`] and retired by its receiver, and every per-slot
+//! workspace is built once per group size, so after warmup the hot
+//! path allocates only the small weight matrices and detection lists.
+#![deny(clippy::unwrap_used)]
 
-use crate::assignment::{overlap, NodeAssignment, Partitions, *};
+use crate::assignment::{CFAR, DOPPLER};
 use crate::fault::{payload_is_finite, RuntimePolicy};
-use crate::metrics::{PipelineHealth, TaskTiming};
-use crate::msg::{cpi_of_tag, edge_of_tag, tag, Edge, Msg, Payload};
+use crate::metrics::{CpiOutcome, PipelineHealth, TaskTiming};
+use crate::msg::{cpi_of_tag, edge_of_tag, tag, Edge, Msg, Payload, SubCpi, EDGE_NAMES};
+use crate::resident::{CpiDone, CpiJob, ResidentState};
+use crate::runner::DriverResult;
+use crate::stages::TaskState;
 use stap_core::params::StapParams;
-use stap_core::training::{easy_training_cells, hard_training_cells};
-use stap_core::weights::hard_constraint;
-use stap_core::{
-    cfar,
-    doppler::DopplerProcessor,
-    pulse::{PulseCompressor, PulseScratch},
-};
-use stap_cube::{CCube, RCube, SharedBufferPool};
-use stap_math::fft::FftScratch;
-use stap_math::qr::qr_update;
-use stap_math::solve::{constrained_lstsq, constrained_lstsq_from_r, normalize_columns};
+use stap_core::Detection;
+use stap_cube::{CCube, SharedBufferPool};
 use stap_math::{CMat, Cx};
 use stap_mp::{Comm, RecvError, Tag};
-use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::ops::Range;
+use std::ops::Deref;
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Process-wide recycling pools for redistribution message buffers.
@@ -58,93 +67,54 @@ pub struct PipelinePools {
     pub real: SharedBufferPool<f64>,
 }
 
-/// Shared, read-only context every task node gets.
-pub struct TaskCtx<'a> {
-    /// Algorithm parameters.
+/// Shared, read-only context every rank of a run gets.
+pub(crate) struct TaskCtx<'a> {
     pub params: &'a StapParams,
-    /// Node assignment (rank layout).
-    pub assign: &'a NodeAssignment,
-    /// Data partitions per task.
-    pub parts: &'a Partitions,
+    pub assign: &'a crate::assignment::NodeAssignment,
+    pub parts: &'a crate::assignment::Partitions,
     /// Steering matrix (`J x M`) per transmit-beam position.
     pub steering: &'a [CMat],
-    /// Number of CPIs to process.
-    pub num_cpis: usize,
-    /// Shared send-buffer recycling pools.
     pub pools: &'a PipelinePools,
-    /// Fault-tolerance policy (default: off, zero-overhead path).
     pub policy: &'a RuntimePolicy,
+    /// A batch run's CPI count; `None` for a resident session, which
+    /// ends on the `Shutdown` cascade instead.
+    pub limit: Option<usize>,
+    /// Largest slot group the driver accepts.
+    pub max_group: usize,
+    /// Per-sub non-finite screening at the CFAR boundary (serving).
+    pub screen: bool,
+    /// Cross-session state the stateful stages start from.
+    pub carry: &'a ResidentState,
     /// Trace epoch when span tracing is on; `None` (the default) keeps
-    /// the task loops on the untraced path — no extra clock reads, no
-    /// span allocation.
+    /// the loops off the traced path — no span allocation.
     pub epoch: Option<Instant>,
 }
 
 impl TaskCtx<'_> {
-    /// Transmit-beam index of CPI `i` (round-robin revisit).
-    fn beam_of(&self, cpi: usize) -> usize {
-        cpi % self.steering.len()
+    /// Transmit-beam positions in the revisit cycle.
+    pub fn beams(&self) -> usize {
+        self.steering.len()
     }
 
-    /// Whether weights computed from CPI `cpi` will ever be applied.
-    fn weight_target(&self, cpi: usize) -> Option<usize> {
-        let t = cpi + self.steering.len();
-        (t < self.num_cpis).then_some(t)
-    }
-}
-
-/// Measures one receive into idle/unpack split.
-struct RecvPhase {
-    start: Instant,
-    idle: f64,
-}
-
-impl RecvPhase {
-    fn begin() -> Self {
-        RecvPhase {
-            start: Instant::now(),
-            idle: 0.0,
-        }
+    /// First rank of task `t`.
+    pub fn rank0(&self, t: usize) -> usize {
+        self.assign.rank_range(t).start
     }
 
-    fn blocking<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let t = Instant::now();
-        let out = f();
-        self.idle += t.elapsed().as_secs_f64();
-        out
-    }
-
-    fn finish(self) -> (f64, f64) {
-        (self.start.elapsed().as_secs_f64(), self.idle)
+    /// Whether a message tagged `target` is ever sent: a batch run
+    /// skips targets at or beyond its CPI count (weights for CPIs that
+    /// never come).
+    fn live(&self, target: usize) -> bool {
+        self.limit.is_none_or(|n| target < n)
     }
 }
 
-pub(crate) fn expect_cube(p: Payload) -> CCube {
-    match p {
-        Payload::Cube(c) => c,
-        other => panic!("expected Cube, got {other:?}"),
-    }
-}
-
-pub(crate) fn expect_real(p: Payload) -> RCube {
-    match p {
-        Payload::Real(c) => c,
-        other => panic!("expected Real, got {other:?}"),
-    }
-}
-
-pub(crate) fn expect_weights(p: Payload) -> Vec<CMat> {
-    match p {
-        Payload::Weights(w) => w,
-        other => panic!("expected Weights, got {other:?}"),
-    }
-}
-
-/// What a task's timing loop hands back: per-CPI phase times plus the
-/// node's fault-tolerance counters.
+/// What a task's loop hands back: per-CPI phase times plus the node's
+/// fault-tolerance counters.
 #[derive(Debug, Default)]
 pub struct TaskReport {
-    /// Per-CPI phase timings.
+    /// Per-CPI phase timings (batch runs only; a resident session keeps
+    /// no per-slot vectors).
     pub timings: Vec<TaskTiming>,
     /// This node's health counters (all zero without faults).
     pub health: PipelineHealth,
@@ -154,14 +124,6 @@ pub struct TaskReport {
 }
 
 impl TaskReport {
-    fn with_capacity(n: usize) -> Self {
-        TaskReport {
-            timings: Vec::with_capacity(n),
-            health: PipelineHealth::default(),
-            spans: Vec::new(),
-        }
-    }
-
     /// Records one CPI's phase timing, and — when `epoch` is set — the
     /// corresponding absolute span (phase boundaries reconstructed from
     /// the cumulative phase durations; inter-phase gaps on a node are
@@ -181,6 +143,16 @@ impl TaskReport {
     }
 }
 
+/// What one task rank hands back when its loop exits.
+pub(crate) struct TaskExit {
+    pub report: TaskReport,
+    /// Receive-unpack, compute and send seconds, excluding blocked
+    /// receives (the elastic scheduler's bottleneck signal).
+    pub busy: f64,
+    /// The stage's exported cross-slot state.
+    pub state: TaskState,
+}
+
 /// Outcome of one fault-aware edge receive.
 pub(crate) enum Recvd {
     /// Healthy payload plus the sender's degraded flag.
@@ -190,14 +162,70 @@ pub(crate) enum Recvd {
     Gone,
 }
 
-/// One receive on edge-tag `t` for CPI `cpi` under `policy`.
+/// One receive on edge-tag `t` for slot `seq` under `policy`; `None`
+/// when the input is gone (see [`Recvd::Gone`]).
 ///
-/// The non-fault-tolerant path is the original blocking receive (an
-/// unexpected `Disconnected` still panics, preserving the fail-fast
-/// behaviour production relies on). The fault-tolerant path enforces
-/// `timeout` per attempt with `policy.max_retries` retries, discards
-/// messages whose `seq` does not match `cpi` (late/duplicate CPIs), and
-/// screens payloads for non-finite values.
+/// Without fault tolerance this is the plain blocking receive, and a
+/// vanished peer panics with a message naming rank, peer and edge (the
+/// `Disconnected` in it is what lets the world join attribute cascade
+/// failures to their root). The fault-tolerant path enforces `timeout`
+/// per attempt with `policy.max_retries` retries, discards messages
+/// whose `seq` does not match (late/duplicate deliveries), and screens
+/// payloads for non-finite values.
+fn recv_edge(
+    comm: &mut Comm<Msg>,
+    src: usize,
+    t: Tag,
+    seq: usize,
+    policy: &RuntimePolicy,
+    timeout: Duration,
+    health: &mut PipelineHealth,
+) -> Option<Msg> {
+    let e = edge_of_tag(t);
+    if !policy.fault_tolerant {
+        let m = match comm.recv(src, t) {
+            Ok(m) => m,
+            Err(err) => panic!(
+                "rank {} lost peer {src} on edge {}: {err:?}",
+                comm.rank(),
+                EDGE_NAMES[e]
+            ),
+        };
+        debug_assert_eq!(m.seq as usize, seq, "tag/seq mismatch on edge {e}");
+        return (!matches!(m.payload, Payload::Dropped)).then_some(m);
+    }
+    let mut retries = 0u32;
+    loop {
+        match comm.recv_timeout(src, t, timeout) {
+            Ok(m) => {
+                if m.seq as usize != seq {
+                    // A late or duplicated CPI matched this tag (possible
+                    // only under injection); discard and keep waiting.
+                    health.edges[e].late_or_dup += 1;
+                    continue;
+                }
+                if matches!(m.payload, Payload::Dropped) {
+                    return None;
+                }
+                if policy.screen_nonfinite && !payload_is_finite(&m.payload) {
+                    health.edges[e].quarantined += 1;
+                    return None;
+                }
+                return Some(m);
+            }
+            Err(RecvError::Timeout) if retries < policy.max_retries => {
+                retries += 1;
+                health.edges[e].retries += 1;
+            }
+            Err(_) => {
+                health.edges[e].dropped += 1;
+                return None;
+            }
+        }
+    }
+}
+
+/// [`recv_edge`] as a [`Recvd`], for callers that need no slot group.
 pub(crate) fn recv_msg(
     comm: &mut Comm<Msg>,
     src: usize,
@@ -207,56 +235,17 @@ pub(crate) fn recv_msg(
     timeout: Duration,
     health: &mut PipelineHealth,
 ) -> Recvd {
-    let e = edge_of_tag(t);
-    if !policy.fault_tolerant {
-        let m = comm.recv(src, t).unwrap();
-        debug_assert_eq!(m.seq as usize, cpi, "tag/seq mismatch on edge {e}");
-        return match m.payload {
-            Payload::Dropped => Recvd::Gone,
-            p => Recvd::Data(p, m.degraded),
-        };
-    }
-    let mut retries = 0u32;
-    loop {
-        match comm.recv_timeout(src, t, timeout) {
-            Ok(m) => {
-                if m.seq as usize != cpi {
-                    // A late or duplicated CPI matched this tag (possible
-                    // only under injection); discard and keep waiting.
-                    health.edges[e].late_or_dup += 1;
-                    continue;
-                }
-                if matches!(m.payload, Payload::Dropped) {
-                    return Recvd::Gone;
-                }
-                if policy.screen_nonfinite && !payload_is_finite(&m.payload) {
-                    health.edges[e].quarantined += 1;
-                    return Recvd::Gone;
-                }
-                return Recvd::Data(m.payload, m.degraded);
-            }
-            Err(RecvError::Timeout) => {
-                if retries < policy.max_retries {
-                    retries += 1;
-                    health.edges[e].retries += 1;
-                    continue;
-                }
-                health.edges[e].dropped += 1;
-                return Recvd::Gone;
-            }
-            Err(RecvError::Disconnected) => {
-                health.edges[e].dropped += 1;
-                return Recvd::Gone;
-            }
-        }
+    match recv_edge(comm, src, t, cpi, policy, timeout, health) {
+        Some(m) => Recvd::Data(m.payload, m.degraded),
+        None => Recvd::Gone,
     }
 }
 
-/// End-of-CPI hygiene for fault-tolerant loops: discards every buffered
-/// message belonging to CPI `cpi` or earlier — late deliveries the loop
-/// gave up on, and duplicate copies of messages already consumed —
-/// attributing the discards to their edges. Without this the
-/// unexpected-message queue would grow for the rest of the run.
+/// End-of-slot hygiene for fault-tolerant loops: discards every
+/// buffered message belonging to slot `cpi` or earlier — late
+/// deliveries the loop gave up on, and duplicate copies of messages
+/// already consumed — attributing the discards to their edges. Without
+/// this the unexpected-message queue would grow for the rest of the run.
 pub(crate) fn purge_late(comm: &mut Comm<Msg>, cpi: usize, health: &mut PipelineHealth) {
     let edges = &mut health.edges;
     comm.purge_pending(|_, t| {
@@ -271,7 +260,7 @@ pub(crate) fn purge_late(comm: &mut Comm<Msg>, cpi: usize, health: &mut Pipeline
 
 /// Samples the receiver-side mailbox and max-merges the currently
 /// buffered per-edge depths into `health.max_mailbox_depth`. Called once
-/// per CPI at the top of each task loop: one inbox drain plus a bucket
+/// per slot at the top of each loop: one inbox drain plus a bucket
 /// walk, no allocation, so the zero-alloc steady state is preserved.
 pub(crate) fn sample_mailbox(comm: &mut Comm<Msg>, health: &mut PipelineHealth) {
     let mut depth = [0u64; crate::msg::NUM_EDGES];
@@ -286,1218 +275,468 @@ pub(crate) fn sample_mailbox(comm: &mut Comm<Msg>, health: &mut PipelineHealth) 
     }
 }
 
-/// Global training cells for easy weights that fall inside `krange`.
-pub(crate) fn easy_cells_in(params: &StapParams, krange: &Range<usize>) -> Vec<usize> {
-    easy_training_cells(params)
-        .into_iter()
-        .filter(|c| krange.contains(c))
-        .collect()
+/// The member CPIs of one slot, in axis-0 concatenation order. Batch
+/// messages carry no group on the wire: the slot is implied to be CPI
+/// `seq` of stream 0 alone.
+#[derive(Clone)]
+pub(crate) enum Group {
+    Implied([SubCpi; 1]),
+    Shared(Arc<[SubCpi]>),
 }
 
-/// Global training cells for hard segment `seg` inside `krange`.
-pub(crate) fn hard_cells_in(params: &StapParams, seg: usize, krange: &Range<usize>) -> Vec<usize> {
-    hard_training_cells(params, seg)
-        .into_iter()
-        .filter(|c| krange.contains(c))
-        .collect()
+impl Group {
+    /// The group a message carries, or the implied batch member.
+    pub fn of(wire: Option<Arc<[SubCpi]>>, scpi: usize) -> Group {
+        match wire {
+            Some(g) => Group::Shared(g),
+            None => Group::Implied([SubCpi {
+                stream: 0,
+                scpi: scpi as u32,
+            }]),
+        }
+    }
+
+    /// What goes on the wire: nothing for an implied batch slot.
+    fn wire(&self) -> Option<Arc<[SubCpi]>> {
+        match self {
+            Group::Implied(_) => None,
+            Group::Shared(g) => Some(g.clone()),
+        }
+    }
 }
 
-/// The Doppler filter processing task (task 0).
-pub fn run_doppler(ctx: &TaskCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
-    let my_k = ctx.parts.doppler_k[local].clone();
-    let k0 = my_k.start;
-    let proc = DopplerProcessor::new(p);
-    let driver = ctx.assign.driver_rank();
-    let easy_bins = p.easy_bins();
-    let hard_bins = p.hard_bins();
-    let pool = &ctx.pools.cx;
-    // CPI-invariant packing metadata, computed once.
-    let easy_cells = easy_cells_in(p, &my_k);
-    let hard_cells: Vec<Vec<usize>> = (0..p.num_segments())
-        .map(|s| hard_cells_in(p, s, &my_k))
-        .collect();
-    let flat_cells: Vec<usize> = hard_cells.iter().flatten().copied().collect();
-    // Persistent workspaces: staggered cube and FFT scratch live across
-    // CPIs (fully overwritten each cycle).
-    let mut stag = CCube::zeros([my_k.len(), 2 * p.j_channels, p.n_pulses]);
-    let mut fft_ws = FftScratch::new();
-    let mut report = TaskReport::with_capacity(ctx.num_cpis);
+impl Deref for Group {
+    type Target = [SubCpi];
 
-    for cpi in 0..ctx.num_cpis {
-        comm.fault_checkpoint(cpi as u64);
-        sample_mailbox(comm, &mut report.health);
-        // --- receive phase -------------------------------------------------
-        let mut rp = RecvPhase::begin();
-        let cpi_t0 = rp.start;
-        let got = rp.blocking(|| {
-            recv_msg(
-                comm,
-                driver,
-                tag(Edge::Input, cpi),
-                cpi,
-                ctx.policy,
-                ctx.policy.edge_timeout,
-                &mut report.health,
-            )
-        });
-        let (recv, recv_idle) = rp.finish();
+    fn deref(&self) -> &[SubCpi] {
+        match self {
+            Group::Implied(g) => g,
+            Group::Shared(g) => g,
+        }
+    }
+}
 
-        let slab = match got {
-            Recvd::Data(p, _) => Some(expect_cube(p)),
-            Recvd::Gone => None,
+/// Receive handle a stage gets during the receive phase: every call
+/// counts as blocked (idle) time.
+pub(crate) struct Rx<'a> {
+    comm: &'a mut Comm<Msg>,
+    pub health: &'a mut PipelineHealth,
+    pub policy: &'a RuntimePolicy,
+    idle: f64,
+}
+
+impl Rx<'_> {
+    /// One receive of `edge` tagged `seq` from `src`; `None` when the
+    /// input is gone.
+    pub fn recv(&mut self, src: usize, edge: Edge, seq: usize, timeout: Duration) -> Option<Msg> {
+        let t = Instant::now();
+        let m = recv_edge(
+            self.comm,
+            src,
+            tag(edge, seq),
+            seq,
+            self.policy,
+            timeout,
+            self.health,
+        );
+        self.idle += t.elapsed().as_secs_f64();
+        m
+    }
+}
+
+/// Send handle a stage gets during the send phase: stamps every message
+/// with the slot's tag, group and degraded flag.
+pub(crate) struct Tx<'a> {
+    comm: &'a mut Comm<Msg>,
+    seq: usize,
+    pub group: &'a Group,
+    degraded: bool,
+}
+
+impl Tx<'_> {
+    /// Sends `payload` to `dst` on `edge`.
+    pub fn send(&mut self, dst: usize, edge: Edge, payload: Payload) {
+        let msg = Msg {
+            seq: self.seq as u32,
+            degraded: self.degraded,
+            group: self.group.wire(),
+            payload,
         };
-
-        // --- compute phase -------------------------------------------------
-        let t1 = Instant::now();
-        if let Some(slab) = &slab {
-            proc.process_rows_with(slab, k0, &mut stag, &mut fft_ws);
-        }
-        let comp = t1.elapsed().as_secs_f64();
-        // The consumed input slab refills the send pool.
-        if let Some(slab) = slab {
-            pool.recycle(slab);
-        } else {
-            // Input lost: propagate the drop on every out-edge so the
-            // rest of the pipeline keeps draining this CPI.
-            for (q, _) in ctx.parts.easy_wt_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(EASY_WT).start + q;
-                comm.send(dst, tag(Edge::DopplerToEasyWt, cpi), Msg::dropped(cpi));
-            }
-            for (q, _) in ctx.parts.hard_wt_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(HARD_WT).start + q;
-                comm.send(dst, tag(Edge::DopplerToHardWt, cpi), Msg::dropped(cpi));
-            }
-            for (r, _) in ctx.parts.easy_bf_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(EASY_BF).start + r;
-                comm.send(dst, tag(Edge::DopplerToEasyBf, cpi), Msg::dropped(cpi));
-            }
-            for (r, _) in ctx.parts.hard_bf_bins.iter().enumerate() {
-                let dst = ctx.assign.rank_range(HARD_BF).start + r;
-                comm.send(dst, tag(Edge::DopplerToHardBf, cpi), Msg::dropped(cpi));
-            }
-            report.push_cpi(
-                ctx.epoch,
-                cpi,
-                cpi_t0,
-                TaskTiming {
-                    recv,
-                    comp,
-                    send: 0.0,
-                    recv_idle,
-                },
-            );
-            if ctx.policy.fault_tolerant {
-                purge_late(comm, cpi, &mut report.health);
-            }
-            continue;
-        }
-
-        // --- send phase ----------------------------------------------------
-        // Each pack below is also attributed as a `Redistribute` span
-        // (pack + enqueue) when tracing is on: Doppler's "data
-        // collection and reorganization" is the redistribution step the
-        // paper singles out, so the trace shows its per-edge cost.
-        let t2 = Instant::now();
-        // Easy weight: gathered training cells, first window, its bins.
-        for (q, bins_idx) in ctx.parts.easy_wt_bins.iter().enumerate() {
-            let pack_t0 = comm.trace_now();
-            let block = pool.take_cube(
-                [bins_idx.len(), easy_cells.len(), p.j_channels],
-                |bi, ci, ch| stag[(easy_cells[ci] - k0, ch, easy_bins[bins_idx.start + bi])],
-            );
-            let bytes = 8 * block.len() as u64;
-            let dst = ctx.assign.rank_range(EASY_WT).start + q;
-            let t = tag(Edge::DopplerToEasyWt, cpi);
-            comm.send(dst, t, Msg::new(cpi, Payload::Cube(block)));
-            comm.trace_redistribute(dst, t, bytes, pack_t0);
-        }
-        // Hard weight: per-segment gathered cells, both windows.
-        for (q, bins_idx) in ctx.parts.hard_wt_bins.iter().enumerate() {
-            let pack_t0 = comm.trace_now();
-            let block = pool.take_cube(
-                [bins_idx.len(), flat_cells.len(), 2 * p.j_channels],
-                |bi, ci, ch| stag[(flat_cells[ci] - k0, ch, hard_bins[bins_idx.start + bi])],
-            );
-            let bytes = 8 * block.len() as u64;
-            let dst = ctx.assign.rank_range(HARD_WT).start + q;
-            let t = tag(Edge::DopplerToHardWt, cpi);
-            comm.send(dst, t, Msg::new(cpi, Payload::Cube(block)));
-            comm.trace_redistribute(dst, t, bytes, pack_t0);
-        }
-        // Easy BF: full local range, first window, reorganized to
-        // (bin, k, channel) — the Fig. 8 reorganization.
-        for (r, bins_idx) in ctx.parts.easy_bf_bins.iter().enumerate() {
-            let pack_t0 = comm.trace_now();
-            let block = pool.take_cube([bins_idx.len(), my_k.len(), p.j_channels], |bi, kc, ch| {
-                stag[(kc, ch, easy_bins[bins_idx.start + bi])]
-            });
-            let bytes = 8 * block.len() as u64;
-            let dst = ctx.assign.rank_range(EASY_BF).start + r;
-            let t = tag(Edge::DopplerToEasyBf, cpi);
-            comm.send(dst, t, Msg::new(cpi, Payload::Cube(block)));
-            comm.trace_redistribute(dst, t, bytes, pack_t0);
-        }
-        // Hard BF: both windows.
-        for (r, bins_idx) in ctx.parts.hard_bf_bins.iter().enumerate() {
-            let pack_t0 = comm.trace_now();
-            let block = pool.take_cube(
-                [bins_idx.len(), my_k.len(), 2 * p.j_channels],
-                |bi, kc, ch| stag[(kc, ch, hard_bins[bins_idx.start + bi])],
-            );
-            let bytes = 8 * block.len() as u64;
-            let dst = ctx.assign.rank_range(HARD_BF).start + r;
-            let t = tag(Edge::DopplerToHardBf, cpi);
-            comm.send(dst, t, Msg::new(cpi, Payload::Cube(block)));
-            comm.trace_redistribute(dst, t, bytes, pack_t0);
-        }
-        let send = t2.elapsed().as_secs_f64();
-        report.push_cpi(
-            ctx.epoch,
-            cpi,
-            cpi_t0,
-            TaskTiming {
-                recv,
-                comp,
-                send,
-                recv_idle,
-            },
-        );
-        if ctx.policy.fault_tolerant {
-            purge_late(comm, cpi, &mut report.health);
-        }
+        self.comm.send(dst, tag(edge, self.seq), msg);
     }
-    report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    report
-}
 
-/// The easy weight computation task (task 1).
-pub fn run_easy_weight(ctx: &TaskCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
-    let bins_idx = ctx.parts.easy_wt_bins[local].clone();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let constraint = CMat::identity(p.j_channels);
-    // History per (beam, local bin): last `easy_history` snapshots.
-    let mut history: HashMap<usize, VecDeque<Vec<CMat>>> = HashMap::new();
-    let total_cells = easy_training_cells(p).len();
-    // Snapshot matrices evicted from the history ring are recycled as
-    // the next CPI's receive buffers (they are fully overwritten).
-    let mut spare: Option<Vec<CMat>> = None;
-    let mut report = TaskReport::with_capacity(ctx.num_cpis);
-
-    for cpi in 0..ctx.num_cpis {
-        comm.fault_checkpoint(cpi as u64);
-        sample_mailbox(comm, &mut report.health);
-        // --- receive: one block per Doppler node ---------------------------
-        let mut rp = RecvPhase::begin();
-        let cpi_t0 = rp.start;
-        let mut snapshots: Vec<CMat> = spare.take().unwrap_or_else(|| {
-            (0..bins_idx.len())
-                .map(|_| CMat::zeros(total_cells, p.j_channels))
-                .collect()
-        });
-        let mut row = 0usize;
-        let mut lost = false;
-        for dp in 0..p0 {
-            let got = rp.blocking(|| {
-                recv_msg(
-                    comm,
-                    dop0 + dp,
-                    tag(Edge::DopplerToEasyWt, cpi),
-                    cpi,
-                    ctx.policy,
-                    ctx.policy.edge_timeout,
-                    &mut report.health,
-                )
-            });
-            let block = match got {
-                Recvd::Data(p, _) => expect_cube(p),
-                Recvd::Gone => {
-                    lost = true;
-                    continue;
-                }
-            };
-            let cells = block.shape()[1];
-            for (bi, snap) in snapshots.iter_mut().enumerate() {
-                for ci in 0..cells {
-                    for ch in 0..p.j_channels {
-                        // Conjugated rows (see stap_core::training).
-                        snap[(row + ci, ch)] = block[(bi, ci, ch)].conj();
-                    }
-                }
-            }
-            row += cells;
-            ctx.pools.cx.recycle(block);
-        }
-        debug_assert!(lost || row == total_cells);
-        let (recv, recv_idle) = rp.finish();
-
-        if lost {
-            // Training data incomplete: do not touch the weight history
-            // (it still holds the last good snapshots) and tell the
-            // beamform nodes to fall back for the target CPI.
-            spare = Some(snapshots);
-            if let Some(target) = ctx.weight_target(cpi) {
-                for (r, bf_bins) in ctx.parts.easy_bf_bins.iter().enumerate() {
-                    if overlap(&bins_idx, bf_bins).is_empty() {
-                        continue;
-                    }
-                    let dst = ctx.assign.rank_range(EASY_BF).start + r;
-                    comm.send(dst, tag(Edge::EasyWtToEasyBf, target), Msg::dropped(target));
-                }
-            }
-            report.push_cpi(
-                ctx.epoch,
-                cpi,
-                cpi_t0,
-                TaskTiming {
-                    recv,
-                    comp: 0.0,
-                    send: 0.0,
-                    recv_idle,
-                },
-            );
-            if ctx.policy.fault_tolerant {
-                purge_late(comm, cpi, &mut report.health);
-            }
-            continue;
-        }
-
-        // --- compute -------------------------------------------------------
-        let t1 = Instant::now();
-        let beam = ctx.beam_of(cpi);
-        let q = history.entry(beam).or_default();
-        q.push_back(snapshots);
-        while q.len() > p.easy_history {
-            spare = q.pop_front();
-        }
-        let steering = &ctx.steering[beam];
-        let weights: Vec<CMat> = (0..bins_idx.len())
-            .map(|bi| {
-                let mut stacked = q[0][bi].clone();
-                for older in q.iter().skip(1) {
-                    stacked = stacked.vstack(&older[bi]);
-                }
-                let k = mean_abs(&stacked) * p.beam_constraint_wt;
-                constrained_lstsq(&stacked, &constraint, k, steering)
-            })
-            .collect();
-        let comp = t1.elapsed().as_secs_f64();
-
-        // --- send: bins overlapping each easy-BF node ----------------------
-        let t2 = Instant::now();
-        if let Some(target) = ctx.weight_target(cpi) {
-            for (r, bf_bins) in ctx.parts.easy_bf_bins.iter().enumerate() {
-                let ov = overlap(&bins_idx, bf_bins);
-                if ov.is_empty() {
-                    continue;
-                }
-                let w: Vec<CMat> = ov
-                    .clone()
-                    .map(|b| weights[b - bins_idx.start].clone())
-                    .collect();
-                let dst = ctx.assign.rank_range(EASY_BF).start + r;
-                comm.send(
-                    dst,
-                    tag(Edge::EasyWtToEasyBf, target),
-                    Msg::new(target, Payload::Weights(w)),
-                );
-            }
-        }
-        let send = t2.elapsed().as_secs_f64();
-        report.push_cpi(
-            ctx.epoch,
-            cpi,
-            cpi_t0,
-            TaskTiming {
-                recv,
-                comp,
-                send,
-                recv_idle,
-            },
-        );
-        if ctx.policy.fault_tolerant {
-            purge_late(comm, cpi, &mut report.health);
-        }
+    /// Packs a cube with `pack` and sends it, attributed as a
+    /// `Redistribute` span (pack + enqueue) when tracing is on: Doppler's
+    /// "data collection and reorganization" is the redistribution step
+    /// the paper singles out, so the trace shows its per-edge cost.
+    pub fn redistribute(&mut self, dst: usize, edge: Edge, pack: impl FnOnce() -> CCube) {
+        let t0 = self.comm.trace_now();
+        let block = pack();
+        let bytes = 8 * block.len() as u64;
+        self.send(dst, edge, Payload::Cube(block));
+        self.comm
+            .trace_redistribute(dst, tag(edge, self.seq), bytes, t0);
     }
-    report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    report
 }
 
-/// The hard weight computation task (task 2).
-pub fn run_hard_weight(ctx: &TaskCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
-    let bins_idx = ctx.parts.hard_wt_bins[local].clone();
-    let hard_bins = p.hard_bins();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let jj = 2 * p.j_channels;
-    let segs = p.num_segments();
-    // R state per (beam, local bin, segment).
-    let mut r_state: HashMap<(usize, usize, usize), CMat> = HashMap::new();
-    let seg_cells: Vec<usize> = (0..segs).map(|s| hard_training_cells(p, s).len()).collect();
-    // Per-sender segment cell counts are CPI-invariant.
-    let dp_counts: Vec<Vec<usize>> = (0..p0)
-        .map(|dp| {
-            let kr = ctx.parts.doppler_k[dp].clone();
-            (0..segs).map(|s| hard_cells_in(p, s, &kr).len()).collect()
-        })
-        .collect();
-    // snapshots[bin local][seg] is (cells, 2J), rows in global order;
-    // fully overwritten every CPI, so it persists across the loop.
-    let mut snapshots: Vec<Vec<CMat>> = (0..bins_idx.len())
-        .map(|_| (0..segs).map(|s| CMat::zeros(seg_cells[s], jj)).collect())
-        .collect();
-    let mut report = TaskReport::with_capacity(ctx.num_cpis);
+/// One pipeline task as the loop sees it. Inputs and outputs are
+/// declared on the [`Node`]; the stage only places, computes and sends.
+pub(crate) trait Stage {
+    /// Places the payload received on input `i` for `group` (receive
+    /// phase; retires the message buffer to the pool).
+    fn place(&mut self, i: usize, group: &Group, payload: Payload);
 
-    for cpi in 0..ctx.num_cpis {
-        comm.fault_checkpoint(cpi as u64);
-        sample_mailbox(comm, &mut report.health);
-        // --- receive -------------------------------------------------------
-        let mut rp = RecvPhase::begin();
-        let cpi_t0 = rp.start;
-        let mut seg_rows = vec![0usize; segs];
-        let mut lost = false;
-        for (dp, counts) in dp_counts.iter().enumerate() {
-            let got = rp.blocking(|| {
-                recv_msg(
-                    comm,
-                    dop0 + dp,
-                    tag(Edge::DopplerToHardWt, cpi),
-                    cpi,
-                    ctx.policy,
-                    ctx.policy.edge_timeout,
-                    &mut report.health,
-                )
-            });
-            let block = match got {
-                Recvd::Data(p, _) => expect_cube(p),
-                Recvd::Gone => {
-                    lost = true;
-                    continue;
-                }
-            };
-            // The sender packed cells segment-major.
-            let mut ci = 0usize;
-            for (s, &cnt) in counts.iter().enumerate() {
-                for c in 0..cnt {
-                    for (bi, snap) in snapshots.iter_mut().enumerate() {
-                        for ch in 0..jj {
-                            snap[s][(seg_rows[s] + c, ch)] = block[(bi, ci + c, ch)].conj();
-                        }
-                    }
-                }
-                seg_rows[s] += cnt;
-                ci += cnt;
-            }
-            ctx.pools.cx.recycle(block);
-        }
-        let (recv, recv_idle) = rp.finish();
+    /// Receives beyond the per-slot inputs (the beamformers' weight
+    /// edges), after every input arrived.
+    fn recv_more(&mut self, _rx: &mut Rx, _slot: usize, _group: &Group) {}
 
-        if lost {
-            // Incomplete training data: leave the QR recursion state at
-            // its last good value and signal fallback to the hard BF
-            // nodes for the target CPI.
-            if let Some(target) = ctx.weight_target(cpi) {
-                for (r, bf_bins) in ctx.parts.hard_bf_bins.iter().enumerate() {
-                    if overlap(&bins_idx, bf_bins).is_empty() {
-                        continue;
-                    }
-                    let dst = ctx.assign.rank_range(HARD_BF).start + r;
-                    comm.send(dst, tag(Edge::HardWtToHardBf, target), Msg::dropped(target));
-                }
-            }
-            report.push_cpi(
-                ctx.epoch,
-                cpi,
-                cpi_t0,
-                TaskTiming {
-                    recv,
-                    comp: 0.0,
-                    send: 0.0,
-                    recv_idle,
-                },
-            );
-            if ctx.policy.fault_tolerant {
-                purge_late(comm, cpi, &mut report.health);
-            }
-            continue;
-        }
+    /// Computes the slot; true when the output is degraded.
+    fn compute(&mut self, group: &Group) -> bool;
 
-        // --- compute -------------------------------------------------------
-        let t1 = Instant::now();
-        let beam = ctx.beam_of(cpi);
-        let steering = &ctx.steering[beam];
-        // weights in bin-major, segment-minor order.
-        let mut weights: Vec<CMat> = Vec::with_capacity(bins_idx.len() * segs);
-        for bi in 0..bins_idx.len() {
-            let bin = hard_bins[bins_idx.start + bi];
-            let constraint = hard_constraint(p, bin);
-            for (s, snap) in snapshots[bi].iter().enumerate() {
-                let r_prev = r_state
-                    .entry((beam, bi, s))
-                    .or_insert_with(|| CMat::zeros(jj, jj));
-                let r_new = qr_update(r_prev, p.forgetting_factor, snap);
-                let k = mean_abs(snap) * p.beam_constraint_wt;
-                let w = constrained_lstsq_from_r(&r_new, &constraint, k, steering);
-                *r_prev = r_new;
-                weights.push(w);
-            }
-        }
-        let comp = t1.elapsed().as_secs_f64();
+    /// Packs and sends the slot's outputs.
+    fn send(&mut self, tx: &mut Tx);
 
-        // --- send ----------------------------------------------------------
-        let t2 = Instant::now();
-        if let Some(target) = ctx.weight_target(cpi) {
-            for (r, bf_bins) in ctx.parts.hard_bf_bins.iter().enumerate() {
-                let ov = overlap(&bins_idx, bf_bins);
-                if ov.is_empty() {
-                    continue;
-                }
-                let mut w = Vec::with_capacity(ov.len() * segs);
-                for b in ov.clone() {
-                    let base = (b - bins_idx.start) * segs;
-                    w.extend(weights[base..base + segs].iter().cloned());
-                }
-                let dst = ctx.assign.rank_range(HARD_BF).start + r;
-                comm.send(
-                    dst,
-                    tag(Edge::HardWtToHardBf, target),
-                    Msg::new(target, Payload::Weights(w)),
-                );
-            }
-        }
-        let send = t2.elapsed().as_secs_f64();
-        report.push_cpi(
-            ctx.epoch,
-            cpi,
-            cpi_t0,
-            TaskTiming {
-                recv,
-                comp,
-                send,
-                recv_idle,
-            },
-        );
-        if ctx.policy.fault_tolerant {
-            purge_late(comm, cpi, &mut report.health);
-        }
+    /// Final receives when the `Shutdown` cascade reaches slot `slot`.
+    fn shutdown(&mut self, _rx: &mut Rx, _slot: usize) {}
+
+    /// The cross-slot state at exit.
+    fn export(self) -> TaskState
+    where
+        Self: Sized,
+    {
+        TaskState::Stateless
     }
-    report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    report
 }
 
-pub(crate) fn mean_abs(m: &CMat) -> f64 {
-    if m.rows() == 0 || m.cols() == 0 {
-        return 1.0;
-    }
-    let s: f64 = m.as_slice().iter().map(|x| x.abs()).sum();
-    (s / (m.rows() * m.cols()) as f64).max(1e-12)
+/// A stage plus its declared edges.
+pub(crate) struct Node<S> {
+    /// `(source rank, edge)` received once per slot, in order.
+    pub inputs: Vec<(usize, Edge)>,
+    /// `(destination rank, edge)` written once per slot; `Dropped` and
+    /// `Shutdown` markers go to every one.
+    pub outputs: Vec<(usize, Edge)>,
+    /// Tag offset of the outputs: the weight tasks tag weights computed
+    /// in slot `s` for slot `s + beams`, the CPI they apply to.
+    pub lag: usize,
+    pub stage: S,
 }
 
-/// Weight-source nodes whose bin range overlaps `my_bins`.
-pub(crate) fn weight_sources(
-    wt_parts: &[Range<usize>],
-    my_bins: &Range<usize>,
-    wt_rank0: usize,
-) -> Vec<(usize, Range<usize>)> {
-    wt_parts
-        .iter()
-        .enumerate()
-        .filter_map(|(q, r)| {
-            let ov = overlap(r, my_bins);
-            (!ov.is_empty()).then(|| (wt_rank0 + q, ov))
-        })
-        .collect()
-}
-
-/// The easy beamforming task (task 3).
-///
-/// Degraded mode: when the weight edge overruns its grace deadline (or
-/// carries a drop marker), the node beamforms with the *last good
-/// weights for this azimuth* — the same matrices the paper would have
-/// applied one revisit earlier — and flags its output `degraded`.
-pub fn run_easy_bf(ctx: &TaskCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
-    let bins_idx = ctx.parts.easy_bf_bins[local].clone();
-    let easy_bins = p.easy_bins();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let pool = &ctx.pools.cx;
-    let wt_sources = weight_sources(
-        &ctx.parts.easy_wt_bins,
-        &bins_idx,
-        ctx.assign.rank_range(EASY_WT).start,
-    );
-    // My natural bins, ascending, owned by each PC node (CPI-invariant).
-    let pc_mine: Vec<Vec<usize>> = ctx
-        .parts
-        .pc_bins
-        .iter()
-        .map(|pc_bins| {
-            bins_idx
-                .clone()
-                .filter(|&b| pc_bins.contains(&easy_bins[b]))
-                .collect()
-        })
-        .collect();
-    // Persistent assembly cube, output cube and beamforming scratch
-    // (all fully overwritten each CPI).
-    let mut data = CCube::zeros([bins_idx.len(), p.k_range, p.j_channels]);
-    let mut out = CCube::zeros([bins_idx.len(), p.m_beams, p.k_range]);
-    let mut slab = CMat::zeros(p.j_channels, p.k_range);
-    let mut y = CMat::zeros(p.m_beams, p.k_range);
-    // Last-good weights per azimuth (fault-tolerant runs only): the
-    // stale-weight fallback source. Guaranteed populated for a beam by
-    // the time it is needed because each azimuth's first visit takes
-    // the quiescent path below.
-    let mut last_good: HashMap<usize, Vec<CMat>> = HashMap::new();
-    let mut report = TaskReport::with_capacity(ctx.num_cpis);
-
-    for cpi in 0..ctx.num_cpis {
-        comm.fault_checkpoint(cpi as u64);
-        sample_mailbox(comm, &mut report.health);
-        let beam = ctx.beam_of(cpi);
-        // --- receive -------------------------------------------------------
-        let mut rp = RecvPhase::begin();
-        let cpi_t0 = rp.start;
-        let mut data_lost = false;
-        for dp in 0..p0 {
-            let got = rp.blocking(|| {
-                recv_msg(
-                    comm,
-                    dop0 + dp,
-                    tag(Edge::DopplerToEasyBf, cpi),
-                    cpi,
-                    ctx.policy,
-                    ctx.policy.edge_timeout,
-                    &mut report.health,
-                )
-            });
-            match got {
-                Recvd::Data(pl, _) => {
-                    let block = expect_cube(pl);
-                    let k0 = ctx.parts.doppler_k[dp].start;
-                    data.place([0, k0, 0], &block);
-                    pool.recycle(block);
-                }
-                Recvd::Gone => data_lost = true,
-            }
-        }
-        if data_lost {
-            // The data cube is incomplete: drop this CPI end-to-end.
-            // Weight messages for this CPI (if any) are shed by the
-            // end-of-CPI purge.
-            let (recv, recv_idle) = rp.finish();
-            for (t, _) in pc_mine.iter().enumerate() {
-                let dst = ctx.assign.rank_range(PC).start + t;
-                comm.send(dst, tag(Edge::EasyBfToPc, cpi), Msg::dropped(cpi));
-            }
-            report.push_cpi(
-                ctx.epoch,
-                cpi,
-                cpi_t0,
-                TaskTiming {
-                    recv,
-                    comp: 0.0,
-                    send: 0.0,
-                    recv_idle,
-                },
-            );
-            if ctx.policy.fault_tolerant {
-                purge_late(comm, cpi, &mut report.health);
-            }
-            continue;
-        }
-        // Weights: quiescent for the first visit of each azimuth.
-        let mut stale = false;
-        let weights: Vec<CMat> = if cpi < ctx.steering.len() {
-            let q = normalize_columns(ctx.steering[beam].clone());
-            let w = vec![q; bins_idx.len()];
-            if ctx.policy.fault_tolerant {
-                last_good.insert(beam, w.clone());
-            }
-            w
-        } else {
-            let mut per_bin: Vec<Option<CMat>> = vec![None; bins_idx.len()];
-            for (src, ov) in &wt_sources {
-                let got = rp.blocking(|| {
-                    recv_msg(
-                        comm,
-                        *src,
-                        tag(Edge::EasyWtToEasyBf, cpi),
-                        cpi,
-                        ctx.policy,
-                        ctx.policy.weight_grace,
-                        &mut report.health,
-                    )
-                });
-                match got {
-                    Recvd::Data(pl, _) => {
-                        let w = expect_weights(pl);
-                        for (i, b) in ov.clone().enumerate() {
-                            per_bin[b - bins_idx.start] = Some(w[i].clone());
-                        }
-                    }
-                    Recvd::Gone => stale = true,
-                }
-            }
-            if stale {
-                // Fall back to the last good weights for this azimuth —
-                // the paper already applies weights one revisit late
-                // (TD(1,3)); this widens the gap by one more revisit.
-                report.health.edges[Edge::EasyWtToEasyBf as usize].stale_weights += 1;
-                last_good.get(&beam).cloned().unwrap_or_else(|| {
-                    vec![normalize_columns(ctx.steering[beam].clone()); bins_idx.len()]
-                })
-            } else {
-                let w: Vec<CMat> = per_bin
-                    .into_iter()
-                    .map(|w| w.expect("missing weights"))
-                    .collect();
-                if ctx.policy.fault_tolerant {
-                    last_good.insert(beam, w.clone());
-                }
-                w
-            }
-        };
-        let (recv, recv_idle) = rp.finish();
-
-        // --- compute -------------------------------------------------------
-        let t1 = Instant::now();
-        for bi in 0..bins_idx.len() {
-            // Assemble (J, K) exactly as the sequential easy_bin_data.
-            slab.fill_from_fn(|ch, kc| data[(bi, kc, ch)]);
-            weights[bi].hermitian_matmul_into(&slab, &mut y);
-            for m in 0..p.m_beams {
-                out.lane_mut(bi, m).copy_from_slice(y.row(m));
-            }
-        }
-        let comp = t1.elapsed().as_secs_f64();
-
-        // --- send: natural-bin overlap with each PC node --------------------
-        let t2 = Instant::now();
-        for (t, mine) in pc_mine.iter().enumerate() {
-            let block = pool.take_cube([mine.len(), p.m_beams, p.k_range], |i, m, kc| {
-                out[(mine[i] - bins_idx.start, m, kc)]
-            });
-            let dst = ctx.assign.rank_range(PC).start + t;
-            comm.send(
-                dst,
-                tag(Edge::EasyBfToPc, cpi),
-                Msg::flagged(cpi, stale, Payload::Cube(block)),
-            );
-        }
-        let send = t2.elapsed().as_secs_f64();
-        report.push_cpi(
-            ctx.epoch,
-            cpi,
-            cpi_t0,
-            TaskTiming {
-                recv,
-                comp,
-                send,
-                recv_idle,
-            },
-        );
-        if ctx.policy.fault_tolerant {
-            purge_late(comm, cpi, &mut report.health);
-        }
-    }
-    report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    report
-}
-
-/// The hard beamforming task (task 4). Same degraded mode as
-/// [`run_easy_bf`], with per-(bin, segment) weight sets.
-pub fn run_hard_bf(ctx: &TaskCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
-    let bins_idx = ctx.parts.hard_bf_bins[local].clone();
-    let hard_bins = p.hard_bins();
-    let p0 = ctx.assign.nodes(DOPPLER);
-    let dop0 = ctx.assign.rank_range(DOPPLER).start;
-    let jj = 2 * p.j_channels;
-    let segs = p.num_segments();
-    let pool = &ctx.pools.cx;
-    let wt_sources = weight_sources(
-        &ctx.parts.hard_wt_bins,
-        &bins_idx,
-        ctx.assign.rank_range(HARD_WT).start,
-    );
-    let pc_mine: Vec<Vec<usize>> = ctx
-        .parts
-        .pc_bins
-        .iter()
-        .map(|pc_bins| {
-            bins_idx
-                .clone()
-                .filter(|&b| pc_bins.contains(&hard_bins[b]))
-                .collect()
-        })
-        .collect();
-    // Persistent assembly/output cubes and per-segment scratch matrices.
-    let seg_ranges: Vec<Range<usize>> = (0..segs).map(|s| p.segment_range(s)).collect();
-    let mut data = CCube::zeros([bins_idx.len(), p.k_range, jj]);
-    let mut out = CCube::zeros([bins_idx.len(), p.m_beams, p.k_range]);
-    let mut slabs: Vec<CMat> = seg_ranges
-        .iter()
-        .map(|r| CMat::zeros(jj, r.len()))
-        .collect();
-    let mut ys: Vec<CMat> = seg_ranges
-        .iter()
-        .map(|r| CMat::zeros(p.m_beams, r.len()))
-        .collect();
-    // Last-good per-(bin, segment) weights per azimuth (stale fallback).
-    let mut last_good: HashMap<usize, Vec<Vec<CMat>>> = HashMap::new();
-    let mut report = TaskReport::with_capacity(ctx.num_cpis);
-
-    // Quiescent weights for `beam` (each azimuth's first visit, and the
-    // fallback of last resort).
-    let quiescent = |beam: usize| -> Vec<Vec<CMat>> {
-        bins_idx
-            .clone()
-            .map(|b| {
-                let bin = hard_bins[b];
-                let phase = Cx::cis(
-                    2.0 * std::f64::consts::PI * bin as f64 * p.stagger as f64 / p.n_pulses as f64,
-                );
-                let s = &ctx.steering[beam];
-                let w = CMat::from_fn(jj, p.m_beams, |r, c| {
-                    if r < p.j_channels {
-                        s[(r, c)]
-                    } else {
-                        s[(r - p.j_channels, c)] * phase
-                    }
-                });
-                vec![normalize_columns(w); segs]
-            })
-            .collect()
+/// The per-rank loop shared by every stage of every run.
+pub(crate) fn run_node<S: Stage>(ctx: &TaskCtx, comm: &mut Comm<Msg>, node: Node<S>) -> TaskExit {
+    let Node {
+        inputs,
+        outputs,
+        lag,
+        mut stage,
+    } = node;
+    let policy = ctx.policy;
+    let mut report = TaskReport {
+        timings: Vec::with_capacity(ctx.limit.unwrap_or(0)),
+        ..TaskReport::default()
     };
-
-    for cpi in 0..ctx.num_cpis {
-        comm.fault_checkpoint(cpi as u64);
+    let mut busy = 0.0f64;
+    let mut slot = 0usize;
+    while ctx.limit.is_none_or(|n| slot < n) {
+        comm.fault_checkpoint(slot as u64);
         sample_mailbox(comm, &mut report.health);
-        let beam = ctx.beam_of(cpi);
-        // --- receive -------------------------------------------------------
-        let mut rp = RecvPhase::begin();
-        let cpi_t0 = rp.start;
-        let mut data_lost = false;
-        for dp in 0..p0 {
-            let got = rp.blocking(|| {
-                recv_msg(
-                    comm,
-                    dop0 + dp,
-                    tag(Edge::DopplerToHardBf, cpi),
-                    cpi,
-                    ctx.policy,
-                    ctx.policy.edge_timeout,
-                    &mut report.health,
-                )
-            });
-            match got {
-                Recvd::Data(pl, _) => {
-                    let block = expect_cube(pl);
-                    let k0 = ctx.parts.doppler_k[dp].start;
-                    data.place([0, k0, 0], &block);
-                    pool.recycle(block);
-                }
-                Recvd::Gone => data_lost = true,
-            }
-        }
-        if data_lost {
-            let (recv, recv_idle) = rp.finish();
-            for (t, _) in pc_mine.iter().enumerate() {
-                let dst = ctx.assign.rank_range(PC).start + t;
-                comm.send(dst, tag(Edge::HardBfToPc, cpi), Msg::dropped(cpi));
-            }
-            report.push_cpi(
-                ctx.epoch,
-                cpi,
-                cpi_t0,
-                TaskTiming {
-                    recv,
-                    comp: 0.0,
-                    send: 0.0,
-                    recv_idle,
-                },
-            );
-            if ctx.policy.fault_tolerant {
-                purge_late(comm, cpi, &mut report.health);
-            }
-            continue;
-        }
-        let mut stale = false;
-        let weights: Vec<Vec<CMat>> = if cpi < ctx.steering.len() {
-            let w = quiescent(beam);
-            if ctx.policy.fault_tolerant {
-                last_good.insert(beam, w.clone());
-            }
-            w
-        } else {
-            let mut per_bin: Vec<Option<Vec<CMat>>> = vec![None; bins_idx.len()];
-            for (src, ov) in &wt_sources {
-                let got = rp.blocking(|| {
-                    recv_msg(
-                        comm,
-                        *src,
-                        tag(Edge::HardWtToHardBf, cpi),
-                        cpi,
-                        ctx.policy,
-                        ctx.policy.weight_grace,
-                        &mut report.health,
-                    )
-                });
-                match got {
-                    Recvd::Data(pl, _) => {
-                        let w = expect_weights(pl);
-                        for (i, b) in ov.clone().enumerate() {
-                            per_bin[b - bins_idx.start] =
-                                Some(w[i * segs..(i + 1) * segs].to_vec());
-                        }
-                    }
-                    Recvd::Gone => stale = true,
-                }
-            }
-            if stale {
-                report.health.edges[Edge::HardWtToHardBf as usize].stale_weights += 1;
-                last_good
-                    .get(&beam)
-                    .cloned()
-                    .unwrap_or_else(|| quiescent(beam))
-            } else {
-                let w: Vec<Vec<CMat>> = per_bin
-                    .into_iter()
-                    .map(|w| w.expect("missing weights"))
-                    .collect();
-                if ctx.policy.fault_tolerant {
-                    last_good.insert(beam, w.clone());
-                }
-                w
-            }
+        // --- receive ---------------------------------------------------
+        let started = Instant::now();
+        let mut rx = Rx {
+            comm,
+            health: &mut report.health,
+            policy,
+            idle: 0.0,
         };
-        let (recv, recv_idle) = rp.finish();
-
-        // --- compute -------------------------------------------------------
-        let t1 = Instant::now();
-        for bi in 0..bins_idx.len() {
-            for seg in 0..segs {
-                let r = &seg_ranges[seg];
-                slabs[seg].fill_from_fn(|ch, kc| data[(bi, r.start + kc, ch)]);
-                weights[bi][seg].hermitian_matmul_into(&slabs[seg], &mut ys[seg]);
-                for m in 0..p.m_beams {
-                    out.lane_mut(bi, m)[r.clone()].copy_from_slice(ys[seg].row(m));
-                }
-            }
-        }
-        let comp = t1.elapsed().as_secs_f64();
-
-        // --- send ----------------------------------------------------------
-        let t2 = Instant::now();
-        for (t, mine) in pc_mine.iter().enumerate() {
-            let block = pool.take_cube([mine.len(), p.m_beams, p.k_range], |i, m, kc| {
-                out[(mine[i] - bins_idx.start, m, kc)]
-            });
-            let dst = ctx.assign.rank_range(PC).start + t;
-            comm.send(
-                dst,
-                tag(Edge::HardBfToPc, cpi),
-                Msg::flagged(cpi, stale, Payload::Cube(block)),
-            );
-        }
-        let send = t2.elapsed().as_secs_f64();
-        report.push_cpi(
-            ctx.epoch,
-            cpi,
-            cpi_t0,
-            TaskTiming {
-                recv,
-                comp,
-                send,
-                recv_idle,
-            },
-        );
-        if ctx.policy.fault_tolerant {
-            purge_late(comm, cpi, &mut report.health);
-        }
-    }
-    report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    report
-}
-
-/// The pulse compression task (task 5).
-pub fn run_pc(ctx: &TaskCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
-    let my_bins = ctx.parts.pc_bins[local].clone();
-    let easy_bins = p.easy_bins();
-    let hard_bins = p.hard_bins();
-    let compressor = PulseCompressor::new(p);
-    let mut report = TaskReport::with_capacity(ctx.num_cpis);
-
-    // Which (sender rank, natural-bin list) pairs feed me.
-    let mut feeders: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (r, idx) in ctx.parts.easy_bf_bins.iter().enumerate() {
-        let bins: Vec<usize> = idx
-            .clone()
-            .map(|b| easy_bins[b])
-            .filter(|b| my_bins.contains(b))
-            .collect();
-        feeders.push((ctx.assign.rank_range(EASY_BF).start + r, bins));
-    }
-    for (r, idx) in ctx.parts.hard_bf_bins.iter().enumerate() {
-        let bins: Vec<usize> = idx
-            .clone()
-            .map(|b| hard_bins[b])
-            .filter(|b| my_bins.contains(b))
-            .collect();
-        feeders.push((ctx.assign.rank_range(HARD_BF).start + r, bins));
-    }
-    let easy_edge = |src: usize| src < ctx.assign.rank_range(HARD_BF).start;
-    // CFAR overlap ranges are CPI-invariant.
-    let cfar_ov: Vec<Range<usize>> = ctx
-        .parts
-        .cfar_bins
-        .iter()
-        .map(|c| overlap(&my_bins, c))
-        .collect();
-    // Persistent assembly cube, power cube and compression workspace.
-    let mut data = CCube::zeros([my_bins.len(), p.m_beams, p.k_range]);
-    let mut power = RCube::zeros([my_bins.len(), p.m_beams, p.k_range]);
-    let mut pc_ws = PulseScratch::new();
-
-    for cpi in 0..ctx.num_cpis {
-        comm.fault_checkpoint(cpi as u64);
-        sample_mailbox(comm, &mut report.health);
-        // --- receive -------------------------------------------------------
-        let mut rp = RecvPhase::begin();
-        let cpi_t0 = rp.start;
-        let mut lost = false;
-        let mut degraded = false;
-        for (src, bins) in &feeders {
-            let edge = if easy_edge(*src) {
-                Edge::EasyBfToPc
-            } else {
-                Edge::HardBfToPc
+        let mut group: Option<Group> = None;
+        let (mut lost, mut shutdown, mut degraded) = (false, false, false);
+        for (i, &(src, edge)) in inputs.iter().enumerate() {
+            let Some(m) = rx.recv(src, edge, slot, policy.edge_timeout) else {
+                lost = true;
+                continue;
             };
-            let got = rp.blocking(|| {
-                recv_msg(
-                    comm,
-                    *src,
-                    tag(edge, cpi),
-                    cpi,
-                    ctx.policy,
-                    ctx.policy.edge_timeout,
-                    &mut report.health,
-                )
-            });
-            let block = match got {
-                Recvd::Data(pl, d) => {
-                    degraded |= d;
-                    expect_cube(pl)
-                }
-                Recvd::Gone => {
-                    lost = true;
-                    continue;
-                }
-            };
-            debug_assert_eq!(block.shape()[0], bins.len());
-            for (i, &b) in bins.iter().enumerate() {
-                for m in 0..p.m_beams {
-                    data.lane_mut(b - my_bins.start, m)
-                        .copy_from_slice(block.lane(i, m));
-                }
+            if matches!(m.payload, Payload::Shutdown) {
+                shutdown = true;
+                continue;
             }
-            ctx.pools.cx.recycle(block);
+            degraded |= m.degraded;
+            let g = group.get_or_insert_with(|| Group::of(m.group, slot));
+            stage.place(i, g, m.payload);
         }
-        let (recv, recv_idle) = rp.finish();
-
-        if lost {
-            // At least one beamformed block is gone: the assembled cube
-            // would be a mix of CPIs, so drop this CPI downstream.
-            for u in 0..ctx.parts.cfar_bins.len() {
-                let dst = ctx.assign.rank_range(CFAR).start + u;
-                comm.send(dst, tag(Edge::PcToCfar, cpi), Msg::dropped(cpi));
-            }
-            report.push_cpi(
-                ctx.epoch,
-                cpi,
-                cpi_t0,
-                TaskTiming {
-                    recv,
-                    comp: 0.0,
-                    send: 0.0,
-                    recv_idle,
-                },
-            );
-            if ctx.policy.fault_tolerant {
-                purge_late(comm, cpi, &mut report.health);
-            }
-            continue;
-        }
-
-        // --- compute -------------------------------------------------------
-        let t1 = Instant::now();
-        compressor.process_into_with(&data, &mut power, &mut pc_ws);
-        let comp = t1.elapsed().as_secs_f64();
-
-        // --- send ----------------------------------------------------------
-        let t2 = Instant::now();
-        for (u, ov) in cfar_ov.iter().enumerate() {
-            let block = ctx
-                .pools
-                .real
-                .take_cube([ov.len(), p.m_beams, p.k_range], |i, m, kc| {
-                    power[(ov.start + i - my_bins.start, m, kc)]
-                });
-            let dst = ctx.assign.rank_range(CFAR).start + u;
-            comm.send(
-                dst,
-                tag(Edge::PcToCfar, cpi),
-                Msg::flagged(cpi, degraded, Payload::Real(block)),
-            );
-        }
-        let send = t2.elapsed().as_secs_f64();
-        report.push_cpi(
-            ctx.epoch,
-            cpi,
-            cpi_t0,
-            TaskTiming {
-                recv,
-                comp,
-                send,
-                recv_idle,
-            },
-        );
-        if ctx.policy.fault_tolerant {
-            purge_late(comm, cpi, &mut report.health);
-        }
-    }
-    report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    report
-}
-
-/// The CFAR task (task 6).
-pub fn run_cfar(ctx: &TaskCtx, comm: &mut Comm<Msg>, local: usize) -> TaskReport {
-    let p = ctx.params;
-    let my_bins = ctx.parts.cfar_bins[local].clone();
-    let driver = ctx.assign.driver_rank();
-    // PC nodes that overlap my bins, with the overlap ranges.
-    let feeders: Vec<(usize, Range<usize>)> = ctx
-        .parts
-        .pc_bins
-        .iter()
-        .enumerate()
-        .map(|(t, r)| (ctx.assign.rank_range(PC).start + t, overlap(r, &my_bins)))
-        .collect();
-    // Persistent power assembly cube (fully overwritten each CPI) and
-    // CFAR workspace: the detection list is reserved once, so the
-    // steady-state CFAR round performs no heap allocation (the handoff
-    // at the send boundary swaps in an equally-reserved buffer).
-    let mut power = RCube::zeros([my_bins.len(), p.m_beams, p.k_range]);
-    let mut scratch = cfar::CfarScratch::for_task(p, my_bins.len());
-    let mut report = TaskReport::with_capacity(ctx.num_cpis);
-
-    for cpi in 0..ctx.num_cpis {
-        comm.fault_checkpoint(cpi as u64);
-        sample_mailbox(comm, &mut report.health);
-        // --- receive -------------------------------------------------------
-        let mut rp = RecvPhase::begin();
-        let cpi_t0 = rp.start;
-        let mut lost = false;
-        let mut degraded = false;
-        for (src, ov) in &feeders {
-            let got = rp.blocking(|| {
-                recv_msg(
-                    comm,
-                    *src,
-                    tag(Edge::PcToCfar, cpi),
-                    cpi,
-                    ctx.policy,
-                    ctx.policy.edge_timeout,
-                    &mut report.health,
-                )
-            });
-            let block = match got {
-                Recvd::Data(pl, d) => {
-                    degraded |= d;
-                    expect_real(pl)
-                }
-                Recvd::Gone => {
-                    lost = true;
-                    continue;
-                }
-            };
-            debug_assert_eq!(block.shape()[0], ov.len());
-            if !ov.is_empty() {
-                power.place([ov.start - my_bins.start, 0, 0], &block);
-            }
-            ctx.pools.real.recycle(block);
-        }
-        let (recv, recv_idle) = rp.finish();
-
-        if lost {
-            // Report the loss to the driver so it can classify the CPI
-            // as dropped instead of waiting on detections that will
-            // never come.
-            comm.send(driver, tag(Edge::Output, cpi), Msg::dropped(cpi));
-            report.push_cpi(
-                ctx.epoch,
-                cpi,
-                cpi_t0,
-                TaskTiming {
-                    recv,
-                    comp: 0.0,
-                    send: 0.0,
-                    recv_idle,
-                },
-            );
-            if ctx.policy.fault_tolerant {
-                purge_late(comm, cpi, &mut report.health);
-            }
-            continue;
-        }
-
-        // --- compute -------------------------------------------------------
-        let t1 = Instant::now();
-        scratch.begin_cpi();
-        for bi in 0..my_bins.len() {
-            for m in 0..p.m_beams {
-                cfar::cfar_lane(
-                    p,
-                    power.lane(bi, m),
-                    my_bins.start + bi,
-                    m,
-                    &mut scratch.detections,
+        if shutdown {
+            stage.shutdown(&mut rx, slot);
+            for &(dst, edge) in &outputs {
+                comm.send(
+                    dst,
+                    tag(edge, slot + lag),
+                    Msg::new(slot + lag, Payload::Shutdown),
                 );
             }
+            break;
         }
-        let comp = t1.elapsed().as_secs_f64();
-
-        // --- send ----------------------------------------------------------
-        let t2 = Instant::now();
-        comm.send(
-            driver,
-            tag(Edge::Output, cpi),
-            Msg::flagged(cpi, degraded, Payload::Detections(scratch.take())),
-        );
-        let send = t2.elapsed().as_secs_f64();
-        report.push_cpi(
-            ctx.epoch,
-            cpi,
-            cpi_t0,
-            TaskTiming {
-                recv,
-                comp,
-                send,
-                recv_idle,
-            },
-        );
-        if ctx.policy.fault_tolerant {
-            purge_late(comm, cpi, &mut report.health);
+        let target = slot + lag;
+        let secs = |t: Instant| t.elapsed().as_secs_f64();
+        let mut t = TaskTiming::default();
+        match group.filter(|_| !lost) {
+            Some(group) => {
+                stage.recv_more(&mut rx, slot, &group);
+                (t.recv, t.recv_idle) = (secs(started), rx.idle);
+                // --- compute -----------------------------------------------
+                let t1 = Instant::now();
+                degraded |= stage.compute(&group);
+                t.comp = secs(t1);
+                // --- send --------------------------------------------------
+                let t2 = Instant::now();
+                if ctx.live(target) {
+                    stage.send(&mut Tx {
+                        comm,
+                        seq: target,
+                        group: &group,
+                        degraded,
+                    });
+                }
+                t.send = secs(t2);
+            }
+            None => {
+                // An input is gone: the slot's assembly would mix CPIs,
+                // so drop it downstream and keep draining.
+                (t.recv, t.recv_idle) = (secs(started), rx.idle);
+                if ctx.live(target) {
+                    for &(dst, edge) in &outputs {
+                        comm.send(dst, tag(edge, target), Msg::dropped(target));
+                    }
+                }
+            }
         }
+        busy += t.total_without_idle();
+        if ctx.limit.is_some() {
+            report.push_cpi(ctx.epoch, slot, started, t);
+        }
+        if policy.fault_tolerant {
+            purge_late(comm, slot, &mut report.health);
+        }
+        slot += 1;
     }
     report.health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
-    report
+    TaskExit {
+        report,
+        busy,
+        state: stage.export(),
+    }
+}
+
+/// Where the driver's slots come from.
+pub(crate) enum Feed<'a> {
+    /// A batch run's CPI list: slot `s` is CPI `s` alone.
+    Cpis(&'a [CCube]),
+    /// A resident session's jobs channel: each received group is one
+    /// slot; the session ends when the channel disconnects.
+    Jobs(Receiver<Vec<CpiJob>>),
+}
+
+/// Where the driver's completed slots go.
+pub(crate) enum Sink<'a> {
+    /// A batch run's per-CPI record.
+    Batch(&'a mut DriverResult),
+    /// A resident session's completion channel.
+    Done(Sender<CpiDone>),
+}
+
+/// The driver rank: windowed slot injection from `feed`, completion
+/// collection into `sink`, and — for a resident session — the shutdown
+/// cascade once the feed closes. Returns the driver's health plus the
+/// CPIs and slots it completed.
+pub(crate) fn drive(
+    ctx: &TaskCtx,
+    comm: &mut Comm<Msg>,
+    window: usize,
+    mut feed: Feed,
+    mut sink: Sink,
+) -> (PipelineHealth, u64, u64) {
+    let policy = ctx.policy;
+    let cfar_ranks: Vec<usize> = ctx.assign.rank_range(CFAR).collect();
+    // Under tracing the driver clock shares the trace epoch so CPI
+    // marks line up with the spans.
+    let t0 = ctx.epoch.unwrap_or_else(Instant::now);
+    let mut inflight: VecDeque<(Group, Vec<Instant>)> = VecDeque::with_capacity(window);
+    let mut health = PipelineHealth::default();
+    let (mut next, mut done, mut cpis) = (0usize, 0usize, 0u64);
+    let mut open = true;
+    loop {
+        comm.fault_checkpoint(done as u64);
+        // Fill the window. A resident driver blocks for a job only when
+        // nothing is in flight; otherwise it prefers draining.
+        while open && next - done < window {
+            let (group, stamps) = match &mut feed {
+                Feed::Cpis(cubes) => {
+                    let Some(cube) = cubes.get(next) else {
+                        open = false;
+                        break;
+                    };
+                    let now = Instant::now();
+                    let group = Group::of(None, next);
+                    inject(ctx, comm, next, &group, [cube]);
+                    (group, vec![now])
+                }
+                Feed::Jobs(jobs) => {
+                    let got = if next == done {
+                        jobs.recv().map_err(|_| TryRecvError::Disconnected)
+                    } else {
+                        jobs.try_recv()
+                    };
+                    let batch = match got {
+                        Ok(b) => b,
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => {
+                            open = false;
+                            break;
+                        }
+                    };
+                    if batch.is_empty() {
+                        continue;
+                    }
+                    assert!(
+                        batch.len() <= ctx.max_group,
+                        "slot group of {} exceeds max_group {}",
+                        batch.len(),
+                        ctx.max_group
+                    );
+                    let members: Arc<[SubCpi]> = batch
+                        .iter()
+                        .map(|j| SubCpi {
+                            stream: j.stream,
+                            scpi: j.scpi,
+                        })
+                        .collect();
+                    let group = Group::Shared(members);
+                    inject(ctx, comm, next, &group, batch.iter().map(|j| &j.cube));
+                    let stamps = batch.iter().map(|j| j.submitted).collect();
+                    for job in batch {
+                        ctx.pools.cx.recycle(job.cube);
+                    }
+                    (group, stamps)
+                }
+            };
+            inflight.push_back((group, stamps));
+            next += 1;
+        }
+        let Some((group, stamps)) = inflight.pop_front() else {
+            break;
+        };
+        // Collect the oldest slot from every CFAR node.
+        sample_mailbox(comm, &mut health);
+        let b = group.len();
+        let mut per_sub: Vec<Vec<Detection>> = (0..b).map(|_| Vec::new()).collect();
+        let mut bad = vec![false; b];
+        let mut lost = false;
+        for &src in &cfar_ranks {
+            let t = tag(Edge::Output, done);
+            let (lists, mask, deg) =
+                match recv_msg(comm, src, t, done, policy, policy.edge_timeout, &mut health) {
+                    Recvd::Data(Payload::Detections(d), deg) => (vec![d], Vec::new(), deg),
+                    Recvd::Data(Payload::DetectionsGroup(gs, mask), deg) => (gs, mask, deg),
+                    Recvd::Data(other, _) => panic!("driver: expected detections, got {other:?}"),
+                    Recvd::Gone => {
+                        lost = true;
+                        continue;
+                    }
+                };
+            for (acc, ds) in per_sub.iter_mut().zip(lists) {
+                acc.extend(ds);
+            }
+            for (flag, m) in bad.iter_mut().zip(mask) {
+                *flag |= m;
+            }
+            if deg {
+                bad.iter_mut().for_each(|f| *f = true);
+            }
+        }
+        for ds in &mut per_sub {
+            if lost {
+                ds.clear();
+            }
+            ds.sort_by_key(|d| (d.bin, d.beam, d.range));
+        }
+        let now = Instant::now();
+        match &mut sink {
+            Sink::Batch(r) => {
+                let secs = |i: Instant| i.duration_since(t0).as_secs_f64();
+                r.inject_t.extend(stamps.first().map(|&i| secs(i)));
+                r.complete_t.push(secs(now));
+                r.outcomes.push(if lost {
+                    CpiOutcome::Dropped
+                } else if bad.iter().any(|&x| x) {
+                    CpiOutcome::DegradedStaleWeights
+                } else {
+                    CpiOutcome::Ok
+                });
+                r.detections.extend(per_sub);
+            }
+            Sink::Done(tx) => {
+                for ((sub, ds), (&at, &deg)) in
+                    group.iter().zip(per_sub).zip(stamps.iter().zip(&bad))
+                {
+                    let degraded = deg || lost;
+                    health.degraded_cpis += degraded as u64;
+                    // A closed `done` receiver is fine: keep draining.
+                    let _ = tx.send(CpiDone {
+                        stream: sub.stream,
+                        scpi: sub.scpi,
+                        detections: ds,
+                        latency: now.duration_since(at).as_secs_f64(),
+                        degraded,
+                    });
+                }
+            }
+        }
+        if policy.fault_tolerant {
+            purge_late(comm, done, &mut health);
+        }
+        cpis += b as u64;
+        done += 1;
+    }
+    if let Feed::Jobs(_) = feed {
+        // Every slot drained: cascade the shutdown from the input edge.
+        for dst in ctx.assign.rank_range(DOPPLER) {
+            comm.send(
+                dst,
+                tag(Edge::Input, next),
+                Msg::new(next, Payload::Shutdown),
+            );
+        }
+    }
+    health.mailbox_over_high_water = comm.mailbox_stats().over_high_water;
+    (health, cpis, next as u64)
+}
+
+/// Sends slot `slot`'s input: per Doppler node, the concatenation of
+/// every member cube's range rows (axis 0 is the slowest axis, so each
+/// member's k-slab is one contiguous slice copy).
+fn inject<'c>(
+    ctx: &TaskCtx,
+    comm: &mut Comm<Msg>,
+    slot: usize,
+    group: &Group,
+    cubes: impl IntoIterator<Item = &'c CCube> + Clone,
+) {
+    let p = ctx.params;
+    let row = p.j_channels * p.n_pulses;
+    let b = group.len();
+    for (pn, kr) in ctx.parts.doppler_k.iter().enumerate() {
+        // Input slabs come from the shared pool; the Doppler nodes
+        // retire them after use.
+        let mut buf = ctx.pools.cx.get(b * kr.len() * row);
+        for cube in cubes.clone() {
+            buf.extend_from_slice(&cube.as_slice()[kr.start * row..kr.end * row]);
+        }
+        let slab = CCube::from_vec([b * kr.len(), p.j_channels, p.n_pulses], buf);
+        Tx {
+            comm,
+            seq: slot,
+            group,
+            degraded: false,
+        }
+        .send(ctx.rank0(DOPPLER) + pn, Edge::Input, Payload::Cube(slab));
+    }
 }
 
 #[cfg(test)]

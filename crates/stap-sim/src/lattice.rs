@@ -53,19 +53,8 @@ pub fn lattice_size(budget: usize) -> u128 {
 }
 
 /// Maximum nodes each task can use at this geometry (one partition
-/// element per node: K slabs for Doppler, bin-index spaces for the
-/// rest).
-pub fn task_capacity(p: &stap_core::StapParams) -> [usize; 7] {
-    [
-        p.k_range,
-        p.n_easy(),
-        p.n_hard,
-        p.n_easy(),
-        p.n_hard,
-        p.n_pulses,
-        p.n_pulses,
-    ]
-}
+/// element per node), shared with the elastic scheduler.
+pub use stap_pipeline::task_capacity;
 
 /// Whether every task's node count fits its partitionable space.
 pub fn feasible(p: &stap_core::StapParams, a: &NodeAssignment) -> bool {

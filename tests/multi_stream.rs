@@ -7,11 +7,17 @@
 //! batching is a pure throughput optimization; it must never change a
 //! single detection.
 
-use stap::pipeline::{NodeAssignment, ParallelStap, ResidentStap};
+use stap::cube::CCube;
+use stap::mp::FaultPlan;
+use stap::pipeline::assignment::HARD_WT;
+use stap::pipeline::wire::detections_digest;
+use stap::pipeline::{CpiDone, CpiJob, NodeAssignment, ParallelStap, ResidentStap};
 use stap::radar::Scenario;
 use stap::serve::{LoadgenConfig, Reject, ServerConfig, StapServer};
 use stap_core::params::StapParams;
 use stap_core::Detection;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn reduced_server(streams_hint: usize, cfg: ServerConfig) -> (StapServer, Scenario) {
     let params = StapParams::reduced();
@@ -234,4 +240,98 @@ fn loadgen_smoke_reports_backpressure_and_slo() {
     for h in &s.stream_health {
         assert_eq!(h.rejects.total(), 0, "stream {} saw rejects", h.stream);
     }
+}
+
+/// The canonical two-azimuth scenario (`stapctl trace`, the transport
+/// parity gate) and `n` of its CPIs.
+fn two_azimuth(n: usize) -> (Scenario, Vec<CCube>) {
+    let mut scenario = Scenario::reduced(42);
+    scenario.transmit_beams = vec![-20.0, 20.0];
+    let cpis = scenario.stream(n).map(|(_, _, c)| c).collect();
+    (scenario, cpis)
+}
+
+/// Serves one stream's `cpis` through `res`, `group` CPIs per slot, all
+/// submitted before the session starts. Returns the completions by CPI.
+fn serve_one_stream(res: &ResidentStap, cpis: &[CCube], group: usize) -> Vec<CpiDone> {
+    res.reserve(1, cpis.len());
+    let (jobs_tx, jobs_rx) = mpsc::sync_channel(cpis.len());
+    let pool = &res.pools().cx;
+    for (slot, chunk) in cpis.chunks(group).enumerate() {
+        let jobs = chunk.iter().enumerate().map(|(i, c)| CpiJob {
+            stream: 0,
+            scpi: (slot * group + i) as u32,
+            cube: pool.take_cube_from(c),
+            submitted: Instant::now(),
+        });
+        jobs_tx.send(jobs.collect()).expect("jobs channel");
+    }
+    drop(jobs_tx);
+    let (done_tx, done_rx) = mpsc::channel();
+    let summary = res.serve(jobs_rx, done_tx).expect("serve session");
+    assert_eq!(summary.cpis as usize, cpis.len());
+    let mut done: Vec<CpiDone> = done_rx.iter().collect();
+    done.sort_by_key(|d| d.scpi);
+    done
+}
+
+/// Serving is bit-exact with batch across batching: the same CPIs give
+/// the batch pipeline's detections digest with one CPI per slot and
+/// with three same-stream CPIs per slot (closer than the two-azimuth
+/// revisit, so weights computed in a slot feed later members of it).
+#[test]
+fn served_detections_digest_matches_batch_for_any_grouping() {
+    let (scenario, cpis) = two_azimuth(6);
+    let params = StapParams::reduced();
+    let batch = ParallelStap::for_scenario(params.clone(), NodeAssignment::tiny(), &scenario)
+        .run(cpis.clone())
+        .detections;
+    let want = detections_digest(&batch);
+    for group in [1, 3] {
+        let res = ResidentStap::for_scenario(params.clone(), NodeAssignment::tiny(), &scenario)
+            .with_max_group(group);
+        let served: Vec<Vec<Detection>> = serve_one_stream(&res, &cpis, group)
+            .into_iter()
+            .map(|d| d.detections)
+            .collect();
+        assert_eq!(
+            detections_digest(&served),
+            want,
+            "max_group {group}: served detections differ from batch"
+        );
+    }
+}
+
+/// The weight tasks sit off the serving latency path (paper Fig. 4): a
+/// served CPI waits only for weights computed `beams` CPIs earlier,
+/// never for its own. A 2 s stall of a hard-weight rank at slot `k`
+/// leaves CPI `k` fast; CPI `k + beams`, whose weights that slot
+/// computes, absorbs the stall.
+#[test]
+fn weight_stall_stays_off_the_serving_latency_path() {
+    let (scenario, cpis) = two_azimuth(8);
+    let beams = scenario.transmit_beams.len();
+    let k = 4usize;
+    let assign = NodeAssignment::tiny();
+    let stall = FaultPlan::seeded(1).stall_rank(
+        assign.rank_range(HARD_WT).start,
+        k as u64,
+        Duration::from_secs(2),
+    );
+    let res = ResidentStap::for_scenario(StapParams::reduced(), assign, &scenario)
+        .with_max_group(1)
+        .with_faults(stall);
+    let done = serve_one_stream(&res, &cpis, 1);
+    let bound = stap_util::ci_slack();
+    assert!(
+        done[k].latency < bound,
+        "CPI {k} waited on the stalled weight task: {:.3} s (bound {bound} s)",
+        done[k].latency
+    );
+    assert!(
+        done[k + beams].latency >= 1.5,
+        "CPI {} should absorb the 2 s stall, took {:.3} s",
+        k + beams,
+        done[k + beams].latency
+    );
 }
