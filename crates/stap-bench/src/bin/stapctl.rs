@@ -279,8 +279,7 @@ fn cmd_detect(flags: HashMap<String, String>) -> Result<(), String> {
         },
         runner.assign.total()
     );
-    let data: Vec<_> = scenario.stream(cpis).map(|(_, _, c)| c).collect();
-    let out = runner.run(data);
+    let out = runner.run(scenario.cubes(cpis));
     for (i, dets) in out.detections.iter().enumerate() {
         let reports = cluster(dets);
         println!("CPI {i}: {} reports", reports.len());
@@ -332,7 +331,7 @@ fn cmd_faults(flags: HashMap<String, String>) -> Result<(), String> {
     // until the run drains, and (b) one dropped Doppler->beamform data
     // message. Everything is addressed by (rank, tagged edge, CPI), so
     // the outcome classification is exactly reproducible — on every
-    // transport: `cluster::build_runner` reconstructs this exact plan
+    // transport: the cluster launcher reconstructs this exact plan
     // (same edge timeouts, same corruptor) in each rank process, so the
     // classification parity across inproc/shm/tcp is a testable gate.
     let assign = NodeAssignment::tiny();

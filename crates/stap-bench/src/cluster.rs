@@ -12,15 +12,20 @@
 //! of its `max_recoveries` loop).
 //!
 //! The entire pipeline code path is shared with the in-process runner:
-//! children call [`stap::pipeline::ParallelStap::run_rank`] — the exact
-//! per-rank body `try_run` uses — over a wire-backed `Comm` with the
-//! bit-exact [`stap::pipeline::wire::msg_codec`]. That is what makes
-//! transport parity a *testable* property instead of a hope: same
-//! kernels, same matching, same fault rules, only the byte transport
-//! differs.
+//! children call [`stap::pipeline::ParallelStap::run_task_rank`] and the
+//! parent's driver thread [`stap::pipeline::ParallelStap::run_driver_rank`]
+//! — the exact per-rank bodies `try_run` uses — over a wire-backed
+//! `Comm` with the bit-exact [`stap::pipeline::wire::msg_codec`]. That
+//! is what makes transport parity a *testable* property instead of a
+//! hope: same kernels, same matching, same fault rules, only the byte
+//! transport differs.
 //!
-//! Everything a child needs to reconstruct its identical
-//! [`ClusterConfig`] travels on argv; child results (task reports and
+//! Only the driver holds input, as in the paper, where only the Doppler
+//! filter task receives radar data: the parent synthesizes the CPI
+//! stream once, in parallel ([`stap::radar::Scenario::cubes`]), and
+//! every child gets its data from upstream messages. Everything a child
+//! needs to rebuild its identical runner (the same [`ClusterConfig`])
+//! travels on argv; child results (task reports and
 //! span traces) come back as one sentinel-prefixed JSON line on stdout,
 //! and detections flow to the parent's driver rank over the wire like
 //! any other edge.
@@ -64,7 +69,7 @@ pub struct FaultSpec {
 /// Everything needed to rebuild the identical pipeline in the parent
 /// and in every child rank process. All fields are exactly
 /// reconstructable from argv strings, so parent and children agree
-/// bit-for-bit on scenario data, steering and fault plans.
+/// bit-for-bit on steering, policy and fault plans.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Wire transport (`InProc` short-circuits to the thread runner).
@@ -110,22 +115,26 @@ impl ClusterConfig {
     }
 }
 
-/// Builds the runner and input stream for `cfg` — the single source of
-/// truth both the parent and every child rank process execute, so any
-/// two processes with the same argv hold bit-identical configurations.
-pub fn build_runner(cfg: &ClusterConfig) -> (ParallelStap, Vec<CCube>) {
+fn scenario(cfg: &ClusterConfig) -> Scenario {
+    let mut scenario = Scenario::reduced(cfg.seed);
+    if cfg.two_beam {
+        scenario.transmit_beams = vec![-20.0, 20.0];
+    }
+    scenario
+}
+
+/// The pipeline for `cfg` — steering, tracing, policy and fault plan,
+/// but no input. The single source of truth the parent and every child
+/// rank process execute, so any two processes with the same argv hold
+/// bit-identical configurations.
+fn runner(cfg: &ClusterConfig) -> ParallelStap {
     use stap::core::StapParams;
     use stap::mp::FaultPlan;
     use stap::pipeline::assignment::{DOPPLER, EASY_BF, EASY_WT};
     use stap::pipeline::msg::{tag, Edge};
 
-    let params = StapParams::reduced();
-    let mut scenario = Scenario::reduced(cfg.seed);
-    if cfg.two_beam {
-        scenario.transmit_beams = vec![-20.0, 20.0];
-    }
     let assign = NodeAssignment(cfg.nodes);
-    let mut runner = ParallelStap::for_scenario(params, assign, &scenario);
+    let mut runner = ParallelStap::for_scenario(StapParams::reduced(), assign, &scenario(cfg));
     if cfg.tracing {
         runner = runner.with_tracing();
     }
@@ -151,8 +160,13 @@ pub fn build_runner(cfg: &ClusterConfig) -> (ParallelStap, Vec<CCube>) {
             })
             .with_faults(plan);
     }
-    let data: Vec<CCube> = scenario.stream(cfg.cpis).map(|(_, _, c)| c).collect();
-    (runner, data)
+    runner
+}
+
+/// The pipeline for `cfg` plus the driver's input: the scenario's
+/// first `cfg.cpis` CPIs, synthesized across the host's cores.
+pub fn build_runner(cfg: &ClusterConfig) -> (ParallelStap, Vec<CCube>) {
+    (runner(cfg), scenario(cfg).cubes(cfg.cpis))
 }
 
 fn child_args(cfg: &ClusterConfig, rank: usize, endpoint: &str) -> Vec<String> {
@@ -234,7 +248,7 @@ pub fn child_main(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
 
-    let (runner, cpis) = build_runner(&cfg);
+    let runner = runner(&cfg);
     let size = runner.assign.world_size();
     let link: Box<dyn WireLink> = match cfg.transport {
         TransportKind::Shm => Box::new(
@@ -258,7 +272,7 @@ pub fn child_main(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let parts = Partitions::new(&runner.params, &runner.assign);
     let pools = PipelinePools::default();
-    let result = runner.run_rank(&mut comm, &cpis, &parts, &pools, epoch);
+    let result = runner.run_task_rank(&mut comm, cfg.cpis, &parts, &pools, epoch);
     // Dropping the comm waves goodbye to every peer and flushes the
     // tracer into the sink — the trace must be harvested after.
     drop(comm);
@@ -377,7 +391,7 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<PipelineOutput, String> {
     let (driver_result, failure) = std::thread::scope(|s| {
         let driver = s.spawn(|| {
             let mut comm = comm;
-            let r = runner.run_rank(&mut comm, &cpis, &parts, &pools, epoch);
+            let r = runner.run_driver_rank(&mut comm, &cpis, &parts, &pools, epoch);
             drop(comm);
             r
         });

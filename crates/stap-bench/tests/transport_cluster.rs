@@ -13,8 +13,9 @@
 use stap::mp::{TraceKind, TransportKind, CTRL_RESERVED_BASE};
 use stap::pipeline::wire::detections_digest;
 use stap::pipeline::PipelineOutput;
-use stap_bench::cluster::{run_cluster, run_supervised, ClusterConfig, FaultSpec};
+use stap_bench::cluster::{build_runner, run_cluster, run_supervised, ClusterConfig, FaultSpec};
 use std::path::PathBuf;
+use std::time::Instant;
 
 fn canonical(transport: TransportKind) -> ClusterConfig {
     let mut cfg = ClusterConfig::canonical(transport);
@@ -22,19 +23,28 @@ fn canonical(transport: TransportKind) -> ClusterConfig {
     cfg
 }
 
+/// Pinned digests: the canonical 6-CPI run `stapctl trace` prints and
+/// the 8-CPI run `stapctl bench --transport` records.
 #[test]
 fn detections_bit_identical_across_transports() {
-    let base = run_cluster(&canonical(TransportKind::InProc)).expect("inproc run");
-    let want = detections_digest(&base.detections);
-    for transport in [TransportKind::Shm, TransportKind::Tcp] {
-        let out = run_cluster(&canonical(transport)).expect(transport.name());
-        assert_eq!(
-            out.detections,
-            base.detections,
-            "{} detections differ from inproc",
-            transport.name()
-        );
-        assert_eq!(detections_digest(&out.detections), want);
+    for (cpis, want) in [(6, 0xa0e0_2c7f_d4df_8c9c_u64), (8, 0xdb3a_1a68_bc26_7452)] {
+        let with_cpis = |transport| ClusterConfig {
+            cpis,
+            ..canonical(transport)
+        };
+        let base = run_cluster(&with_cpis(TransportKind::InProc)).expect("inproc run");
+        assert_eq!(detections_digest(&base.detections), want, "{cpis} CPIs");
+        for transport in [TransportKind::Shm, TransportKind::Tcp] {
+            let out = run_cluster(&with_cpis(transport))
+                .unwrap_or_else(|e| panic!("{}: {e}", transport.name()));
+            assert_eq!(
+                out.detections,
+                base.detections,
+                "{} detections differ from inproc",
+                transport.name()
+            );
+            assert_eq!(detections_digest(&out.detections), want);
+        }
     }
 }
 
@@ -110,6 +120,43 @@ fn fault_classification_parity_across_transports() {
         assert_eq!(out.timings.health.degraded_cpis, 3);
         assert_eq!(out.timings.health.dropped_cpis, 1);
     }
+}
+
+/// A launch's fixed cost — spawn, attach, the driver's input synthesis:
+/// the wall time the steady rate does not explain. Task ranks hold no
+/// input, so a 200-CPI launch no longer pays for every child
+/// synthesizing the whole stream (~3 s on a 2-core host).
+#[test]
+fn shm_launch_cost_stays_small() {
+    let mut cfg = canonical(TransportKind::Shm);
+    cfg.cpis = 200;
+    let t = Instant::now();
+    let out = run_cluster(&cfg).expect("shm run");
+    let wall = t.elapsed().as_secs_f64();
+    let setup = wall - cfg.cpis as f64 / out.timings.measured_throughput;
+    // The budget is for an optimized build. An unoptimized one
+    // synthesizes the input about six times slower, so there the bound
+    // also allows the driver's own synthesis, timed here.
+    let synth = if cfg!(debug_assertions) {
+        let t = Instant::now();
+        drop(build_runner(&cfg));
+        t.elapsed().as_secs_f64()
+    } else {
+        0.0
+    };
+    let bound = 1.5 * stap_util::ci_slack() + synth;
+    assert!(
+        setup < bound,
+        "launch cost {setup:.2} s (wall {wall:.2} s) exceeds {bound:.2} s"
+    );
+
+    let mut inproc = canonical(TransportKind::InProc);
+    inproc.cpis = cfg.cpis;
+    let base = run_cluster(&inproc).expect("inproc run");
+    assert_eq!(
+        detections_digest(&out.detections),
+        detections_digest(&base.detections)
+    );
 }
 
 #[test]

@@ -64,9 +64,9 @@ pub struct PipelineOutput {
 }
 
 /// What one rank contributes to a run. Produced by
-/// [`ParallelStap::run_rank`] on every rank (in-process thread or
-/// cluster child process) and folded into a [`PipelineOutput`] by
-/// [`ParallelStap::assemble`].
+/// [`ParallelStap::run_task_rank`] or [`ParallelStap::run_driver_rank`]
+/// on every rank (in-process thread or cluster child process) and
+/// folded into a [`PipelineOutput`] by [`ParallelStap::assemble`].
 #[derive(Debug)]
 pub enum RankResult {
     /// A task node's report: paper task index, local node index within
@@ -215,7 +215,11 @@ impl ParallelStap {
         let pools_ref = &pools;
 
         let results = world.try_run_collect(|mut comm| {
-            self.run_rank(&mut comm, cpis_ref, parts_ref, pools_ref, epoch)
+            if self.assign.task_of_rank(comm.rank()).is_some() {
+                self.run_task_rank(&mut comm, num_cpis, parts_ref, pools_ref, epoch)
+            } else {
+                self.run_driver_rank(&mut comm, cpis_ref, parts_ref, pools_ref, epoch)
+            }
         })?;
         Ok(self.assemble(num_cpis, results, sink.take(), &pools))
     }
@@ -247,15 +251,39 @@ impl ParallelStap {
         Ok(())
     }
 
-    /// Runs exactly one rank of the pipeline to completion over `comm`
-    /// and returns its contribution. This is the whole per-rank body of
-    /// [`ParallelStap::try_run`], exposed so a cluster child process
-    /// (which *is* one rank, on a wire-backed `Comm`) can execute the
-    /// identical code path the in-process threads run.
-    ///
-    /// Task ranks only use `cpis` for its length; the driver rank
-    /// extracts and injects the actual cubes.
-    pub fn run_rank(
+    /// Runs one task rank (`comm.rank()`, which must not be the
+    /// driver's) of a batch run over `num_cpis` CPIs and returns its
+    /// contribution. Task ranks hold no input: the Doppler ranks
+    /// receive each CPI's cube from the driver and every later task its
+    /// blocks from upstream, so the rank needs only the CPI count. This
+    /// is the per-rank body of [`ParallelStap::try_run`], exposed so a
+    /// cluster child process (one rank, on a wire-backed `Comm`) runs
+    /// the code path the in-process threads run.
+    pub fn run_task_rank(
+        &self,
+        comm: &mut stap_mp::Comm<Msg>,
+        num_cpis: usize,
+        parts: &Partitions,
+        pools: &PipelinePools,
+        epoch: Option<Instant>,
+    ) -> RankResult {
+        let rank = comm.rank();
+        let Some((task, node)) = self.assign.task_of_rank(rank) else {
+            panic!("rank {rank} is the driver rank, not a task rank");
+        };
+        let carry = ResidentState::default();
+        let ctx = self.batch_ctx(num_cpis, parts, pools, &carry, epoch);
+        RankResult::Task {
+            task,
+            node,
+            report: run_task(&ctx, comm, task, node).report,
+        }
+    }
+
+    /// Runs the driver rank of a batch run: the only rank that holds
+    /// the input. It injects `cpis` (at most [`ParallelStap::window`]
+    /// in flight) and collects their detections.
+    pub fn run_driver_rank(
         &self,
         comm: &mut stap_mp::Comm<Msg>,
         cpis: &[CCube],
@@ -264,32 +292,34 @@ impl ParallelStap {
         epoch: Option<Instant>,
     ) -> RankResult {
         let carry = ResidentState::default();
-        let ctx = TaskCtx {
+        let ctx = self.batch_ctx(cpis.len(), parts, pools, &carry, epoch);
+        let mut result = DriverResult::default();
+        let sink = Sink::Batch(&mut result);
+        let window = self.window.max(1);
+        result.health = drive(&ctx, comm, window, Feed::Cpis(cpis), sink).0;
+        RankResult::Driver(result)
+    }
+
+    fn batch_ctx<'a>(
+        &'a self,
+        num_cpis: usize,
+        parts: &'a Partitions,
+        pools: &'a PipelinePools,
+        carry: &'a ResidentState,
+        epoch: Option<Instant>,
+    ) -> TaskCtx<'a> {
+        TaskCtx {
             params: &self.params,
             assign: &self.assign,
             parts,
             steering: &self.steering,
             pools,
             policy: &self.policy,
-            limit: Some(cpis.len()),
+            limit: Some(num_cpis),
             max_group: 1,
             screen: false,
-            carry: &carry,
+            carry,
             epoch,
-        };
-        match self.assign.task_of_rank(comm.rank()) {
-            Some((task, node)) => RankResult::Task {
-                task,
-                node,
-                report: run_task(&ctx, comm, task, node).report,
-            },
-            None => {
-                let mut result = DriverResult::default();
-                let sink = Sink::Batch(&mut result);
-                let window = self.window.max(1);
-                result.health = drive(&ctx, comm, window, Feed::Cpis(cpis), sink).0;
-                RankResult::Driver(result)
-            }
         }
     }
 

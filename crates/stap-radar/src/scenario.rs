@@ -144,27 +144,36 @@ impl Scenario {
     /// Generates CPI `i` as a `(K, J, N)` cube (pulses unit-stride, the
     /// corner-turned layout the special interface boards produced).
     pub fn generate_cpi(&self, i: usize) -> CCube {
-        let mut cube = CCube::zeros([self.range_cells, self.geom.channels, self.pulses]);
+        let mut cube = CCube::zeros(self.cube_shape());
+        self.synthesize(i, &mut cube);
+        cube
+    }
+
+    fn cube_shape(&self) -> [usize; 3] {
+        [self.range_cells, self.geom.channels, self.pulses]
+    }
+
+    /// Adds CPI `i`'s returns to the zeroed `cube`.
+    fn synthesize(&self, i: usize, cube: &mut CCube) {
         let mut rng = Rng::seed_from_u64(self.seed.wrapping_add(i as u64));
         let beam = self.beam_of_cpi(i);
         if let Some(cfg) = &self.clutter {
-            add_clutter(&mut cube, &self.geom, cfg, beam, &mut rng);
+            add_clutter(cube, &self.geom, cfg, beam, &mut rng);
         }
         for j in &self.jammers {
-            add_jammer(&mut cube, &self.geom, j, &mut rng);
+            add_jammer(cube, &self.geom, j, &mut rng);
         }
         for t in self.targets_in_beam(i) {
             if let Some(cell) = t.range_at(i, self.range_cells) {
                 let mut at_cell = t;
                 at_cell.range_cell = cell;
-                inject_target(&mut cube, &self.geom, &at_cell, self.replica_len);
+                inject_target(cube, &self.geom, &at_cell, self.replica_len);
             }
         }
-        add_noise(&mut cube, &mut rng);
+        add_noise(cube, &mut rng);
         if let Some(bits) = self.quantization_bits {
-            quantize(&mut cube, bits);
+            quantize(cube, bits);
         }
-        cube
     }
 
     /// An iterator over `(cpi_index, beam_center_deg, cube)`.
@@ -174,6 +183,32 @@ impl Scenario {
             next: 0,
             count,
         }
+    }
+
+    /// CPIs `0..count` in order, synthesized on up to
+    /// `available_parallelism` scoped threads, one contiguous chunk of
+    /// indices each. Every CPI is seeded by its own index, so the cubes
+    /// are bit-identical to collecting [`Scenario::stream`]. The cubes
+    /// are allocated on the calling thread, where collecting the stream
+    /// puts them: a short-lived worker's allocations land in its own
+    /// allocator arena, which later workers need not reuse, so repeated
+    /// calls would keep growing the heap.
+    pub fn cubes(&self, count: usize) -> Vec<CCube> {
+        let mut out: Vec<CCube> = (0..count)
+            .map(|_| CCube::zeros(self.cube_shape()))
+            .collect();
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let chunk = count.div_ceil(threads).max(1);
+        std::thread::scope(|s| {
+            for (c, part) in out.chunks_mut(chunk).enumerate() {
+                s.spawn(move || {
+                    for (k, cube) in part.iter_mut().enumerate() {
+                        self.synthesize(c * chunk + k, cube);
+                    }
+                });
+            }
+        });
+        out
     }
 }
 
@@ -272,6 +307,29 @@ mod tests {
         assert_eq!(items[2].1, 20.0);
         assert_eq!(items[3].1, -20.0);
         assert_eq!(items[6].1, -20.0);
+    }
+
+    #[test]
+    fn parallel_cubes_are_bit_identical_to_the_stream() {
+        let sc = Scenario {
+            transmit_beams: vec![-20.0, 20.0],
+            ..Scenario::reduced(42)
+        };
+        let bits = |c: &CCube| -> Vec<(u64, u64)> {
+            c.as_slice()
+                .iter()
+                .map(|x| (x.re.to_bits(), x.im.to_bits()))
+                .collect()
+        };
+        // Uneven chunks, and counts below the thread count.
+        for count in [0, 1, 7, 200] {
+            let got = sc.cubes(count);
+            assert_eq!(got.len(), count);
+            for ((i, _, want), c) in sc.stream(count).zip(&got) {
+                assert_eq!(c.shape(), want.shape(), "CPI {i} of {count}");
+                assert!(bits(c) == bits(&want), "CPI {i} of {count} differs");
+            }
+        }
     }
 
     #[test]
